@@ -237,6 +237,17 @@ def test_runtime_blowup_is_exit_4(capsys, params_file, tmp_path):
     assert len(err.strip().split("\n")) == 1
 
 
+def test_nonlinear_angle_overflow_is_exit_4(capsys, params_file, tmp_path):
+    # theta grows by 1e307 rad/s until math.sin would see an infinite angle
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--plant", "nonlinear", "--x0", "theta_dot=1e307",
+                         "--t-final", "30", "--dt", "0.01",
+                         "--out", str(tmp_path / "x.csv"))
+    assert code == 4 and out == ""
+    assert err == ("quadmodel: simulation failed: derivative produced non-finite "
+                   "values on the step at t=17.97\n")
+
+
 def test_bad_dt_is_exit_2(capsys, params_file, tmp_path):
     code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
                          "--t-final", "1", "--dt", "2",

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from quadmodel import (
+    GeneralizedInput,
     NonFiniteDerivative,
     NonFiniteState,
     NotNilpotent,
+    PoleSpec,
+    QuadParams,
     RotorForces,
     SimConfig,
     StateSpaceModel,
     StepCountExceeded,
     build_3dof,
     build_6dof,
+    demix,
+    design_6dof_gains,
     hover_thrust_per_rotor,
     nonlinear_deriv,
     rk4_step,
@@ -205,8 +210,60 @@ def test_simulate_rejects_nonlinear_plant_config(params):
 def test_simulate_detects_non_finite_state(params):
     m = build_6dof(params)
     bad = np.array([np.inf, 0.0, 0.0, 0.0])
-    with pytest.raises(NonFiniteState):
+    with pytest.raises(NonFiniteState, match=r"^input became non-finite at t=0$"):
         simulate(m, np.zeros(12), lambda t, x: bad, SimConfig(t_final=0.1, dt=0.01))
+
+
+def test_simulate_matches_zoh_reference_loop_bit_for_bit(params):
+    m = build_6dof(params)
+    k_matrix = design_6dof_gains(params, PoleSpec.uniform_6dof(-3.0)).K
+    x0 = np.zeros(12)
+    x0[7] = 0.4
+    cfg = SimConfig(t_final=0.25, dt=1e-3)
+    traj = simulate(m, x0, lambda t, x: -k_matrix @ x, cfg)
+    phi, gamma = zoh_discretize(m, cfg.dt)
+    x = x0
+    states, inputs = [x], []
+    for _ in range(cfg.n_steps):
+        u = -k_matrix @ x
+        inputs.append(u)
+        x = phi @ x + gamma @ u
+        states.append(x)
+    inputs.append(-k_matrix @ x)
+    assert len(traj) == 251
+    assert np.array_equal(traj.states, np.array(states))
+    assert np.array_equal(traj.inputs, np.array(inputs))
+
+
+def test_non_finite_final_input_is_reported(params):
+    m = build_6dof(params)
+
+    def input_fn(t, x):
+        return np.full(4, np.nan) if t >= 0.1 - 1e-12 else np.zeros(4)
+
+    with pytest.raises(NonFiniteState, match=r"^input became non-finite at t=0\.1$"):
+        simulate(m, np.zeros(12), input_fn, SimConfig(t_final=0.1, dt=0.01))
+
+
+def test_diverging_state_is_reported_at_the_first_bad_row(params):
+    # x = vx = 1e308 overflows x once vx * t adds more than the float range
+    # has left; the whole run completes before the report
+    m = build_6dof(params)
+    x0 = np.zeros(12)
+    x0[0] = x0[3] = 1e308
+    with pytest.raises(NonFiniteState, match=r"^state became non-finite at t=0\.8$"):
+        simulate(m, x0, lambda t, x: np.zeros(4), SimConfig(t_final=1.0, dt=0.01))
+
+
+def test_rk4_linear_run_blames_the_input_before_the_step(params):
+    m = build_6dof(params)
+
+    def input_fn(t, x):
+        return np.full(4, np.inf) if t > 0.025 else np.zeros(4)
+
+    cfg = SimConfig(t_final=0.1, dt=0.01, integrator="rk4")
+    with pytest.raises(NonFiniteState, match=r"^input became non-finite at t=0\.03$"):
+        simulate(m, np.zeros(12), input_fn, cfg)
 
 
 # ---------------------------------------------------------------- nonlinear plant
@@ -275,6 +332,80 @@ def test_large_tilt_diverges_from_linear_model(params):
     nl = simulate_nonlinear(params, x0, _hover_forces_fn(params), cfg)
     final_gap = abs(nl.states[-1, 0] - lin.states[-1, 0])
     assert final_gap > 0.01 * abs(lin.states[-1, 0])
+
+
+def _reference_nonlinear_run(p, x0, forces_fn, cfg):
+    x = x0
+    states, inputs = [x], []
+    for t in np.arange(cfg.n_steps) * cfg.dt:
+        f = forces_fn(t, x)
+        inputs.append(f.as_tuple())
+        x = rk4_step(lambda tt, xx: nonlinear_deriv(p, xx, f), x, t, cfg.dt)
+        states.append(x)
+    inputs.append(forces_fn(cfg.n_steps * cfg.dt, x).as_tuple())
+    return np.array(states), np.array(inputs)
+
+
+def test_nonlinear_open_loop_matches_rk4_reference_bit_for_bit(params):
+    # uneven held forces, so that all three torques act
+    h = hover_thrust_per_rotor(params)
+    f = RotorForces(h + 0.01, h - 0.02, h + 0.03, h - 0.01)
+    x0 = np.zeros(12)
+    x0[7] = 0.4
+    x0[9:] = [0.3, -0.2, 0.1]
+    cfg = SimConfig(t_final=0.25, dt=1e-3, integrator="rk4", plant="nonlinear_6dof")
+    forces_fn = lambda t, x: f
+    traj = simulate_nonlinear(params, x0, forces_fn, cfg)
+    states, inputs = _reference_nonlinear_run(params, x0, forces_fn, cfg)
+    assert len(traj) == 251
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.inputs, inputs)
+
+
+def test_nonlinear_closed_loop_matches_rk4_reference_bit_for_bit(params):
+    # the feedback cmd_sim builds: np.float64 torques demixed every step
+    k_matrix = design_6dof_gains(params, PoleSpec.uniform_6dof(-3.0)).K
+
+    def forces_fn(t, x):
+        return demix(GeneralizedInput(*(-k_matrix @ x)), params)
+
+    x0 = np.zeros(12)
+    x0[7] = 0.4
+    x0[2] = -0.5
+    cfg = SimConfig(t_final=0.25, dt=1e-3, integrator="rk4", plant="nonlinear_6dof")
+    traj = simulate_nonlinear(params, x0, forces_fn, cfg)
+    states, inputs = _reference_nonlinear_run(params, x0, forces_fn, cfg)
+    assert len(traj) == 251
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.inputs, inputs)
+
+
+def test_nonlinear_step_matches_rk4_reference_on_random_states():
+    # one step from many states and vehicles, so that a reordered sum or a
+    # rewritten division in the step shows
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        p = QuadParams(*rng.uniform(0.05, 3.0, size=6), g=9.81)
+        h = hover_thrust_per_rotor(p)
+        x0 = rng.uniform(-3.0, 3.0, size=12)
+        f = RotorForces(*(h + rng.uniform(-2.0, 2.0, size=4)))
+        dt = rng.uniform(1e-3, 0.1)
+        cfg = SimConfig(t_final=dt, dt=dt, integrator="rk4", plant="nonlinear_6dof")
+        traj = simulate_nonlinear(p, x0, lambda t, x: f, cfg)
+        ref = rk4_step(lambda tt, xx: nonlinear_deriv(p, xx, f), x0, 0.0, dt)
+        assert np.array_equal(traj.states[1], ref)
+
+
+@pytest.mark.parametrize("position,rate", [(1, 4), (7, 10)], ids=["y", "theta"])
+def test_nonlinear_overflow_is_reported_at_its_step(params, position, rate):
+    # 1.7e308 growing at 1e307 per second leaves the float range on the step
+    # at 0.97 s; for theta, math.sin(inf) would raise ValueError, and the
+    # simulator reports the step instead
+    x0 = np.zeros(12)
+    x0[position], x0[rate] = 1.7e308, 1e307
+    cfg = SimConfig(t_final=2.0, dt=0.01, integrator="rk4", plant="nonlinear_6dof")
+    with pytest.raises(NonFiniteDerivative, match=r"on the step at t=0\.97$"):
+        simulate_nonlinear(params, x0, _hover_forces_fn(params), cfg)
 
 
 def test_nonlinear_accepts_dof6_state_dataclass(params):
