@@ -23,7 +23,7 @@ from quadmodel import (
     analyze,
     build_6dof,
     design_6dof_gains,
-    simulate,
+    simulate_feedback,
     validate,
 )
 from quadmodel.cli import write_trajectory_csv
@@ -50,8 +50,8 @@ def main():
     x0 = np.zeros(12)
     x0[0] = x0[1] = x0[2] = 0.5   # half a metre off in every axis
     x0[6] = x0[7] = 0.05          # three degrees of tilt
-    traj = simulate(model, x0, lambda t, x: gains.feedback_input(x),
-                    SimConfig(t_final=args.t_final, dt=0.001))
+    traj = simulate_feedback(model, x0, gains.K, np.zeros(4),
+                             SimConfig(t_final=args.t_final, dt=0.001))
 
     n0 = np.linalg.norm(x0)
     print(f"\nclosed loop, all poles at {args.pole}:")

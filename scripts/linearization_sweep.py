@@ -20,7 +20,7 @@ from quadmodel import (
     SimConfig,
     build_6dof,
     hover_thrust_per_rotor,
-    simulate,
+    simulate_feedback,
     simulate_nonlinear,
     validate,
 )
@@ -37,8 +37,8 @@ def run(p, theta0, dt=1e-4, t_final=1.0):
     model = build_6dof(p)
     x0 = np.zeros(12)
     x0[7] = theta0
-    lin = simulate(model, x0, lambda t, x: np.zeros(4),
-                   SimConfig(t_final=t_final, dt=dt))
+    lin = simulate_feedback(model, x0, np.zeros((4, 12)), np.zeros(4),
+                            SimConfig(t_final=t_final, dt=dt))
     h = hover_thrust_per_rotor(p)
     hover = RotorForces(h, h, h, h)
     cfg = SimConfig(t_final=t_final, dt=dt, integrator="rk4", plant="nonlinear_6dof")

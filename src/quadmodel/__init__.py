@@ -67,6 +67,7 @@ from .simulate import (
     nonlinear_deriv,
     rk4_step,
     simulate,
+    simulate_feedback,
     simulate_nonlinear,
     zoh_discretize,
     zoh_step,

@@ -29,7 +29,7 @@ from .simulate import (
     NonFiniteState,
     SimConfig,
     Trajectory,
-    simulate,
+    simulate_feedback,
     simulate_nonlinear,
 )
 from .stabilize import (
@@ -49,6 +49,8 @@ PARAM_KEYS = ("m", "d", "c", "Ix", "Iy", "Iz")
 OPTIONAL_PARAM_KEYS = ("g",)
 
 DEFAULT_POLE = -2.0
+
+CSV_BLOCK_ROWS = 512
 
 
 class InputError(Exception):
@@ -205,11 +207,22 @@ def parse_pole_spec(pole_args, dof: int) -> PoleSpec:
 
 
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """Header then one row per sample, full double precision."""
+    """Header then one row per sample, full double precision (%.17g).
+
+    Rows are formatted CSV_BLOCK_ROWS at a time, with one %-format over a
+    block's Python floats; a block rather than the whole table keeps the
+    formatted text from adding megabytes to peak memory.
+    """
     fh.write("t," + ",".join(traj.state_labels + traj.input_labels) + "\n")
-    for i in range(len(traj)):
-        row = (traj.times[i], *traj.states[i], *traj.inputs[i])
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    n, p = traj.states.shape[1], traj.inputs.shape[1]
+    row = ",".join(["%.17g"] * (1 + n + p)) + "\n"
+    for lo in range(0, len(traj), CSV_BLOCK_ROWS):
+        hi = min(lo + CSV_BLOCK_ROWS, len(traj))
+        block = np.empty((hi - lo, 1 + n + p))
+        block[:, 0] = traj.times[lo:hi]
+        block[:, 1 : 1 + n] = traj.states[lo:hi]
+        block[:, 1 + n :] = traj.inputs[lo:hi]
+        fh.write((row * (hi - lo)) % tuple(block.ravel().tolist()))
 
 
 def _fmt12(v: float) -> str:
@@ -314,16 +327,16 @@ def cmd_sim(args) -> int:
         traj = simulate_nonlinear(p, x0, forces_fn, cfg)
     else:
         if args.mode == "open":
-            u0 = parse_assignments(args.input, input_labels, "input")
-            input_fn = lambda t, x: u0
+            # open loop holds u = r: no feedback
+            r = parse_assignments(args.input, input_labels, "input")
+            k_matrix = np.zeros((model.p, model.n))
         else:
             # r = hover equilibrium input: zero in the 6DOF deviation
             # coordinates, equal per-rotor hover thrust for the 3DOF model
             # (which adds no torque, so regulation is unaffected).
             r = np.zeros(4) if args.dof == 6 else np.full(4, hover)
             k_matrix = gains.K
-            input_fn = lambda t, x: r - k_matrix @ x
-        traj = simulate(model, x0, input_fn, cfg)
+        traj = simulate_feedback(model, x0, k_matrix, r, cfg)
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -208,6 +208,46 @@ def simulate(
     return Trajectory(times, states, inputs, m.state_labels, m.input_labels)
 
 
+def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajectory:
+    """Propagate a linear model from x0 under the held input u = r - K x.
+
+    Exact ZOH only. The closed-loop map F = Phi - Gamma K and the offset
+    c = Gamma r are formed once, each step is x+ = F x + c, and the inputs
+    are formed from the states after the loop. With K = 0 (open loop at the
+    constant input r) the run equals simulate with input_fn returning r, bit
+    for bit. With feedback it rounds differently from simulate with input_fn
+    r - K x; the two agree within 1e-9 of max|x0| over 5 s runs. A
+    diverging run raises NonFiniteState after its last step, at the first
+    non-finite input or state row, as simulate does.
+    """
+    if cfg.plant == "nonlinear_6dof" or cfg.integrator != "exact_zoh":
+        raise ValueError("simulate_feedback needs a linear plant and integrator='exact_zoh'")
+    K = np.asarray(K, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if K.shape != (m.p, m.n) or r.shape != (m.p,):
+        raise ValueError(
+            f"need K of shape {(m.p, m.n)} and r of shape {(m.p,)}, got {K.shape} and {r.shape}"
+        )
+    x = np.asarray(x0, dtype=float).reshape(m.n)
+    steps = cfg.n_steps
+    times = np.arange(steps + 1) * cfg.dt
+    states = np.empty((steps + 1, m.n))
+
+    phi, gamma = zoh_discretize(m, cfg.dt)
+    f_map = phi - gamma @ K
+    c = gamma @ r
+    states[0] = x
+    # a diverging run overflows quietly; the scan below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            x = f_map @ x + c
+            states[i + 1] = x
+        # at K = 0 the product is +0.0, so each input keeps r's bits, -0.0 too
+        inputs = r - states @ K.T
+    _raise_first_non_finite(times, states, inputs)
+    return Trajectory(times, states, inputs, m.state_labels, m.input_labels)
+
+
 def _raise_first_non_finite(times, states, inputs) -> None:
     """Raise NonFiniteState for the first non-finite row in step order.
 

@@ -1,10 +1,13 @@
+import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quadmodel.cli import main
+from quadmodel import Trajectory
+from quadmodel.cli import CSV_BLOCK_ROWS, main, write_trajectory_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,6 +133,36 @@ def test_sim_nonlinear_hover(capsys, params_file, tmp_path):
     assert header[-4:] == ["F1", "F2", "F3", "F4"]
     assert np.all(rows[:, 1:13] == 0.0)
     assert np.all(rows[:, 13:] == 2.4525)
+
+
+def _reference_csv(traj):
+    """The writer as it was: one f-string per value."""
+    lines = ["t," + ",".join(traj.state_labels + traj.input_labels)]
+    for i in range(len(traj)):
+        row = (traj.times[i], *traj.states[i], *traj.inputs[i])
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e-300, 1.0 / 3.0,
+                  sys.float_info.max, -sys.float_info.max, 2.0**-1022, 0.1, -2.5]
+
+
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n_states", [12, 6])
+def test_trajectory_csv_bytes_match_per_value_formatting(rows, n_states):
+    rng = np.random.default_rng(rows + n_states)
+    cells = rng.standard_normal((rows, 1 + n_states + 4)) * 10.0 ** rng.integers(-8, 9, (rows, 1))
+    flat = cells.ravel()
+    flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: flat.size]
+    pick = rng.integers(0, flat.size, size=min(flat.size, 4 * len(SPECIAL_VALUES)))
+    flat[pick] = rng.choice(SPECIAL_VALUES, size=pick.size)
+    traj = Trajectory(cells[:, 0].copy(), cells[:, 1 : 1 + n_states].copy(),
+                      cells[:, 1 + n_states :].copy(),
+                      tuple(f"s{j}" for j in range(n_states)), ("U1", "U2", "U3", "U4"))
+    fh = io.StringIO()
+    write_trajectory_csv(traj, fh)
+    assert fh.getvalue() == _reference_csv(traj)
 
 
 def test_sim_deterministic(capsys, params_file, tmp_path):

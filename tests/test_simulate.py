@@ -17,11 +17,13 @@ from quadmodel import (
     build_3dof,
     build_6dof,
     demix,
+    design_3dof_gains,
     design_6dof_gains,
     hover_thrust_per_rotor,
     nonlinear_deriv,
     rk4_step,
     simulate,
+    simulate_feedback,
     simulate_nonlinear,
     zoh_discretize,
     zoh_step,
@@ -264,6 +266,93 @@ def test_rk4_linear_run_blames_the_input_before_the_step(params):
     cfg = SimConfig(t_final=0.1, dt=0.01, integrator="rk4")
     with pytest.raises(NonFiniteState, match=r"^input became non-finite at t=0\.03$"):
         simulate(m, np.zeros(12), input_fn, cfg)
+
+
+# ---------------------------------------------------------------- simulate_feedback
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_feedback_open_loop_matches_callable_path_to_the_bit(params, seed):
+    # K = 0 holds u = r, as the CLI's open loop does; every state and input
+    # must carry the callable path's bytes, the sign of a zero included
+    rng = np.random.default_rng(seed)
+    m = build_6dof(params) if seed % 2 else build_3dof(params)
+    x0 = rng.choice([-0.0, 0.0, -1.0, 1.0], size=m.n) * rng.uniform(0, 2, size=m.n)
+    r = rng.choice([-0.0, 0.0, -1.0, 1.0], size=m.p) * rng.uniform(0, 3, size=m.p)
+    if seed == 0:
+        x0, r = -np.abs(x0), np.full(m.p, -0.0)
+    cfg = SimConfig(t_final=0.3, dt=float(rng.choice([1e-4, 1e-3, 1e-2])))
+    fast = simulate_feedback(m, x0, np.zeros((m.p, m.n)), r, cfg)
+    ref = simulate(m, x0, lambda t, x: r, cfg)
+    for got, want in ((fast.times, ref.times), (fast.states, ref.states),
+                      (fast.inputs, ref.inputs)):
+        assert got.tobytes() == want.tobytes()
+    assert (fast.state_labels, fast.input_labels) == (ref.state_labels, ref.input_labels)
+
+
+@pytest.mark.parametrize("dof,pole,dt", [
+    (6, -0.1, 1e-2), (6, -2.0, 1e-3), (6, -30.0, 1e-3), (6, -100.0, 1e-4),
+    (3, -0.1, 1e-2), (3, -2.0, 1e-3), (3, -100.0, 1e-4),
+])
+def test_feedback_closed_loop_matches_callable_path(params, dof, pole, dt):
+    # F = Phi - Gamma K rounds differently from Phi x + Gamma (r - K x); the
+    # 5 s runs must agree to the benchmark oracle's 1e-9 of max|x0|, and the
+    # inputs to that times max|K|
+    rng = np.random.default_rng(dof)
+    if dof == 6:
+        m, r = build_6dof(params), np.zeros(4)
+        K = design_6dof_gains(params, PoleSpec.uniform_6dof(pole)).K
+    else:
+        m, r = build_3dof(params), np.full(4, hover_thrust_per_rotor(params))
+        K = design_3dof_gains(params, PoleSpec.uniform_3dof(pole)).K
+    x0 = rng.uniform(-0.5, 0.5, size=m.n)
+    cfg = SimConfig(t_final=5.0, dt=dt, plant=f"linear_{dof}dof")
+    fast = simulate_feedback(m, x0, K, r, cfg)
+    ref = simulate(m, x0, lambda t, x: r - K @ x, cfg)
+    scale = float(np.max(np.abs(x0)))
+    assert np.array_equal(fast.times, ref.times)
+    assert np.max(np.abs(fast.states - ref.states)) <= 1e-9 * scale
+    assert np.max(np.abs(fast.inputs - ref.inputs)) <= 1e-9 * scale * np.max(np.abs(K))
+
+
+def test_feedback_divergence_is_reported_like_the_callable_path(params):
+    # poles at -100 sampled every 10 ms leave the unit circle on the roll
+    # and pitch chains
+    m = build_6dof(params)
+    K = design_6dof_gains(params, PoleSpec.uniform_6dof(-100.0)).K
+    x0 = np.zeros(12)
+    x0[0] = 0.5
+    cfg = SimConfig(t_final=5.0, dt=0.01)
+    message = r"^input became non-finite at t=4\.28$"
+    with pytest.raises(NonFiniteState, match=message):
+        simulate(m, x0, lambda t, x: -K @ x, cfg)
+    with pytest.raises(NonFiniteState, match=message):
+        simulate_feedback(m, x0, K, np.zeros(4), cfg)
+
+
+def test_feedback_reports_a_non_finite_state_first(params):
+    m = build_6dof(params)
+    x0 = np.zeros(12)
+    x0[0] = x0[3] = 1e308
+    with pytest.raises(NonFiniteState, match=r"^state became non-finite at t=0\.8$"):
+        simulate_feedback(m, x0, np.zeros((4, 12)), np.zeros(4),
+                          SimConfig(t_final=1.0, dt=0.01))
+
+
+@pytest.mark.parametrize("cfg,k_shape,r_shape,message", [
+    (SimConfig(t_final=0.1, dt=0.01, integrator="rk4"), (4, 12), (4,), "exact_zoh"),
+    (SimConfig(t_final=0.1, dt=0.01, integrator="rk4", plant="nonlinear_6dof"), (4, 12), (4,),
+     "exact_zoh"),
+    (SimConfig(t_final=0.1, dt=0.01), (12, 4), (4,), "shape"),
+    (SimConfig(t_final=0.1, dt=0.01), (4, 6), (4,), "shape"),
+    (SimConfig(t_final=0.1, dt=0.01), (4, 12), (12,), "shape"),
+    (SimConfig(t_final=0.1, dt=0.01), (4, 12), (), "shape"),
+    (SimConfig(t_final=0.1, dt=0.01), (4, 12), (4, 1), "shape"),
+])
+def test_feedback_rejects_bad_requests(params, cfg, k_shape, r_shape, message):
+    m = build_6dof(params)
+    with pytest.raises(ValueError, match=message):
+        simulate_feedback(m, np.zeros(12), np.zeros(k_shape), np.zeros(r_shape), cfg)
 
 
 # ---------------------------------------------------------------- nonlinear plant
