@@ -19,11 +19,12 @@ from .linalg import (
     char_poly,
     expm_nilpotent,
     is_hurwitz,
-    mat_mul,
     nilpotency_index,
     rank,
 )
 from .models import (
+    CHAINS_3DOF,
+    CHAINS_6DOF,
     DOF3_INPUT_LABELS,
     DOF3_OUTPUT_LABELS,
     DOF3_STATE_LABELS,
@@ -31,8 +32,6 @@ from .models import (
     DOF6_OUTPUT_LABELS,
     DOF6_STATE_LABELS,
     ROTOR_FORCE_LABELS,
-    Dof3State,
-    Dof6State,
     build_3dof,
     build_6dof,
 )
@@ -48,15 +47,11 @@ from .rotor_forces import (
     SMALL_ANGLE_LIMIT,
     GeneralizedInput,
     RotorForces,
-    SmallAngleDomainViolation,
     demix,
     is_physical,
     mix,
-    pitch_torque,
-    roll_torque,
-    total_thrust,
-    translational_accels,
-    yaw_torque,
+    mixer,
+    mixer_inverse,
 )
 from .simulate import (
     NonFiniteDerivative,

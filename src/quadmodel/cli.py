@@ -6,7 +6,8 @@ Exit codes are fixed for scriptability:
     0  success
     2  input problem (missing/garbled file, bad flag combination, bad spec)
     3  physical parameter validation failure
-    4  simulation runtime failure (state left the finite floats)
+    4  runtime failure: a simulation left the finite floats, or a
+       designed closed loop failed its own stability check
 
 Error paths print a one-line diagnostic on stderr and nothing on stdout.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .analysis import analyze
 from .linalg import StateSpaceModel
-from .models import DOF6_STATE_LABELS, ROTOR_FORCE_LABELS, build_3dof, build_6dof
+from .models import CHAINS, DOF6_STATE_LABELS, ROTOR_FORCE_LABELS, build_3dof, build_6dof
 from .params import ParameterError, QuadParams, hover_thrust_per_rotor, validate
 from .rotor_forces import GeneralizedInput, RotorForces, demix, mix
 from .simulate import (
@@ -34,6 +35,7 @@ from .simulate import (
 )
 from .stabilize import (
     GainMatrix,
+    InternalStabilityCheckFailed,
     PolePlacementError,
     PoleSpec,
     design_3dof_gains,
@@ -170,15 +172,10 @@ def parse_pole_spec(pole_args, dof: int) -> PoleSpec:
     that repeated pole, or chain assignments (``--poles z=-1,-2``,
     ``--poles roll=-2,-2,-3,-3``), repeatable. Defaults to all poles at -2.
     """
-    chain_sizes = {"z": 2, "roll": 4, "pitch": 4, "yaw": 2} if dof == 6 else {
-        "roll": 2, "pitch": 2, "yaw": 2
-    }
-    uniform = PoleSpec.uniform_6dof if dof == 6 else PoleSpec.uniform_3dof
-    if not pole_args:
-        return uniform(DEFAULT_POLE)
+    chain_sizes = {ch.name: len(ch.states) for ch in CHAINS[dof]}
     named: dict[str, tuple] = {}
     bare = None
-    for spec in pole_args:
+    for spec in pole_args or []:
         if "=" in spec:
             name, _, raw = spec.partition("=")
             name = name.strip()
@@ -197,11 +194,11 @@ def parse_pole_spec(pole_args, dof: int) -> PoleSpec:
                 raise InputError(f"bad pole value {spec!r}") from None
     if bare is not None and named:
         raise InputError("give either one bare pole value or chain=pole,... specs, not both")
+    default = DEFAULT_POLE if bare is None else bare
     try:
-        if bare is not None:
-            return uniform(bare)
-        fields = {name: named.get(name, (DEFAULT_POLE,) * size) for name, size in chain_sizes.items()}
-        return PoleSpec(**fields)
+        return PoleSpec(
+            **{name: named.get(name, (default,) * size) for name, size in chain_sizes.items()}
+        )
     except PolePlacementError as e:
         raise InputError(str(e)) from e
 
@@ -439,6 +436,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (NonFiniteState, NonFiniteDerivative) as e:
         print(f"quadmodel: simulation failed: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except InternalStabilityCheckFailed as e:
+        print(f"quadmodel: gain design failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -58,16 +58,6 @@ def _zero_tol(a: np.ndarray, rel_tol: float) -> float:
     return rel_tol * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    am, bm = _as_matrix(a), _as_matrix(b)
-    if am.shape[1] != bm.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {am.shape[0]}x{am.shape[1]} by {bm.shape[0]}x{bm.shape[1]}"
-        )
-    return am @ bm
-
-
 def rank(a, rel_tol: float = 1e-9) -> int:
     """Numerical rank by row reduction with partial pivoting.
 
@@ -214,7 +204,7 @@ class StateSpaceModel:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 2:
                 raise DimensionMismatch(f"{name} must be a 2-D matrix")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

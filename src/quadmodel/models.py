@@ -14,6 +14,10 @@ Both orderings are frozen; every CSV/JSON artifact uses these labels.
 Signs follow the self-consistent reading of the source dynamics:
 x_ddot = -g*theta, y_ddot = +g*phi, z_ddot = +U1/m, with U2/U3/U4 the
 torques about body x/y/z respectively.
+
+Both models are decoupled chains of integrators behind the rotor mixer,
+and CHAINS_6DOF / CHAINS_3DOF state that structure once: the builders here,
+the gain designs and the CLI pole parsing all read it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 
 from .linalg import StateSpaceModel
 from .params import QuadParams, validate
+from .rotor_forces import mixer
 
 ROTOR_FORCE_LABELS = ("F1", "F2", "F3", "F4")
 
@@ -40,86 +45,77 @@ DOF6_OUTPUT_LABELS = ("x", "y", "z", "phi", "theta", "psi")
 
 
 @dataclass(frozen=True)
-class Dof3State:
-    """Attitude state in the frozen 3DOF ordering."""
+class Chain:
+    """One chain of integrators, driven by one row of (U1, U2, U3, U4).
 
-    phi: float = 0.0
-    theta: float = 0.0
-    psi: float = 0.0
-    phi_dot: float = 0.0
-    theta_dot: float = 0.0
-    psi_dot: float = 0.0
+    name        its PoleSpec field
+    input_row   the generalized input that drives it (0..3)
+    states      state indices, most-integrated first; each is the
+                integral of the next
+    inertia     the QuadParams field the input divides by
+    tilt        0 for a pure chain; +1 or -1 for a chain that runs from
+                the body pair (angle, rate) through +g or -g into
+                (position, velocity)
+    """
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.phi, self.theta, self.psi, self.phi_dot, self.theta_dot, self.psi_dot]
-        )
+    name: str
+    input_row: int
+    states: tuple[int, ...]
+    inertia: str
+    tilt: int = 0
 
-    @classmethod
-    def from_array(cls, x) -> "Dof3State":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (6,):
-            raise ValueError(f"expected a length-6 state vector, got shape {x.shape}")
-        return cls(*x.tolist())
+    def coupling(self, p: QuadParams) -> float:
+        """Scale of the velocity <- angle link: 1, +g or -g."""
+        return self.tilt * p.g if self.tilt else 1.0
 
 
-@dataclass(frozen=True)
-class Dof6State:
-    """Full rigid-body state in the frozen 6DOF ordering."""
+CHAINS_6DOF = (
+    Chain("z", 0, (2, 5), "m"),
+    Chain("roll", 1, (1, 4, 6, 9), "Ix", tilt=+1),
+    Chain("pitch", 2, (0, 3, 7, 10), "Iy", tilt=-1),
+    Chain("yaw", 3, (8, 11), "Iz"),
+)
+CHAINS_3DOF = (
+    Chain("roll", 1, (0, 3), "Ix"),
+    Chain("pitch", 2, (1, 4), "Iy"),
+    Chain("yaw", 3, (2, 5), "Iz"),
+)
+CHAINS = {6: CHAINS_6DOF, 3: CHAINS_3DOF}
 
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-    vx: float = 0.0
-    vy: float = 0.0
-    vz: float = 0.0
-    phi: float = 0.0
-    theta: float = 0.0
-    psi: float = 0.0
-    phi_dot: float = 0.0
-    theta_dot: float = 0.0
-    psi_dot: float = 0.0
+# the 6DOF inputs are the chain inputs themselves
+_IDENTITY = np.eye(4).tolist()
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.x, self.y, self.z, self.vx, self.vy, self.vz,
-                self.phi, self.theta, self.psi,
-                self.phi_dot, self.theta_dot, self.psi_dot,
-            ]
-        )
 
-    @classmethod
-    def from_array(cls, x) -> "Dof6State":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (12,):
-            raise ValueError(f"expected a length-12 state vector, got shape {x.shape}")
-        return cls(*x.tolist())
+def _chain_model(p, chains, input_map, state_labels, input_labels, output_labels):
+    """The model of a chain table. Row r of input_map gives chain input r
+    from the model's inputs (the identity for 6DOF, the mixer for 3DOF); the
+    last state of the chain it drives gets B row input_map[r] / inertia."""
+    n = len(state_labels)
+    A = np.zeros((n, n))
+    B = np.zeros((n, len(input_labels)))
+    for ch in chains:
+        s = ch.states
+        for i in range(len(s) - 1):
+            A[s[i], s[i + 1]] = 1.0
+        if ch.tilt:
+            A[s[1], s[2]] = ch.coupling(p)  # velocity <- angle
+        inertia = getattr(p, ch.inertia)
+        for j, v in enumerate(input_map[ch.input_row]):
+            B[s[-1], j] = v / inertia
+    C = np.zeros((len(output_labels), n))
+    for row, y in enumerate(output_labels):
+        C[row, state_labels.index(y)] = 1.0
+    D = np.zeros((len(output_labels), len(input_labels)))
+    return StateSpaceModel(A, B, C, D, state_labels, input_labels, output_labels)
 
 
 def build_3dof(p: QuadParams) -> StateSpaceModel:
     """Attitude-only model: three double-integrator chains driven by the
-    rotor thrusts through the moment arms."""
+    rotor thrusts through the mixer."""
     validate(p)
-    A = np.zeros((6, 6))
-    A[0, 3] = A[1, 4] = A[2, 5] = 1.0
-
-    B = np.zeros((6, 4))
-    B[3, 1] = p.d / p.Ix
-    B[3, 3] = -p.d / p.Ix
-    B[4, 0] = p.d / p.Iy
-    B[4, 2] = -p.d / p.Iy
-    B[5, 0] = -p.c / p.Iz
-    B[5, 1] = p.c / p.Iz
-    B[5, 2] = -p.c / p.Iz
-    B[5, 3] = p.c / p.Iz
-
-    C = np.zeros((3, 6))
-    C[0, 0] = C[1, 1] = C[2, 2] = 1.0
-    D = np.zeros((3, 4))
-
-    return StateSpaceModel(
-        A, B, C, D, DOF3_STATE_LABELS, DOF3_INPUT_LABELS, DOF3_OUTPUT_LABELS
+    return _chain_model(
+        p, CHAINS_3DOF, mixer(p).tolist(),
+        DOF3_STATE_LABELS, DOF3_INPUT_LABELS, DOF3_OUTPUT_LABELS,
     )
 
 
@@ -127,23 +123,6 @@ def build_6dof(p: QuadParams) -> StateSpaceModel:
     """Full model: positions, velocities, attitude, and rates, with the
     gravity-tilt coupling x_ddot = -g*theta and y_ddot = +g*phi."""
     validate(p)
-    A = np.zeros((12, 12))
-    A[0, 3] = A[1, 4] = A[2, 5] = 1.0  # position <- velocity
-    A[3, 7] = -p.g                     # x_ddot = -g*theta
-    A[4, 6] = p.g                      # y_ddot = +g*phi
-    A[6, 9] = A[7, 10] = A[8, 11] = 1.0  # angle <- rate
-
-    B = np.zeros((12, 4))
-    B[5, 0] = 1.0 / p.m
-    B[9, 1] = 1.0 / p.Ix
-    B[10, 2] = 1.0 / p.Iy
-    B[11, 3] = 1.0 / p.Iz
-
-    C = np.zeros((6, 12))
-    for row, col in enumerate((0, 1, 2, 6, 7, 8)):
-        C[row, col] = 1.0
-    D = np.zeros((6, 4))
-
-    return StateSpaceModel(
-        A, B, C, D, DOF6_STATE_LABELS, DOF6_INPUT_LABELS, DOF6_OUTPUT_LABELS
+    return _chain_model(
+        p, CHAINS_6DOF, _IDENTITY, DOF6_STATE_LABELS, DOF6_INPUT_LABELS, DOF6_OUTPUT_LABELS
     )

@@ -1,5 +1,5 @@
-"""Rotor thrust algebra: body torques, net thrust, the force<->input mixing
-map and its exact inverse, and the small-angle translational accelerations.
+"""Rotor thrust algebra: the 4x4 mixer from rotor forces to net thrust and
+body torques, its closed-form inverse, and the scalar mix/demix pair.
 
 Conventions (body frame): rotors 1 and 3 sit on the x-axis and spin
 clockwise; rotors 2 and 4 sit on the y-axis and spin counter-clockwise.
@@ -10,17 +10,25 @@ Counter-clockwise reaction torque is positive, so rotors 2 and 4 contribute
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .params import QuadParams
 
 # Tilt magnitude beyond which sin(a) ~ a stops being a good approximation.
 SMALL_ANGLE_LIMIT = 0.5  # rad
 
-
-class SmallAngleDomainViolation(UserWarning):
-    """Tilt angle outside the small-angle regime the linear model assumes."""
+# Sign pattern S of the mixer M = diag(1, d, d, c) S. Rows: total thrust,
+# roll, pitch, yaw torque; columns: F1..F4. S S^T = diag(4, 2, 2, 4).
+_MIXER_SIGNS = np.array(
+    [
+        [1.0, 1.0, 1.0, 1.0],
+        [0.0, 1.0, 0.0, -1.0],
+        [1.0, 0.0, -1.0, 0.0],
+        [-1.0, 1.0, -1.0, 1.0],
+    ]
+)
 
 
 def _require_finite(kind: str, values: tuple[float, ...]) -> None:
@@ -62,37 +70,37 @@ class GeneralizedInput:
         return (self.u1, self.u2, self.u3, self.u4)
 
 
-def roll_torque(f: RotorForces, p: QuadParams) -> float:
-    """Torque about body x. Rotors 1 and 3 have zero moment arm about x."""
-    return p.d * (f.f2 - f.f4)
+def mixer(p: QuadParams) -> np.ndarray:
+    """The 4x4 mixer M: (T, U2, U3, U4) = M (F1, F2, F3, F4), with T the
+    total thrust, so U1 = T - m g."""
+    return _MIXER_SIGNS * np.array([[1.0], [p.d], [p.d], [p.c]])
 
 
-def pitch_torque(f: RotorForces, p: QuadParams) -> float:
-    """Torque about body y. Rotors 2 and 4 have zero moment arm about y."""
-    return p.d * (f.f1 - f.f3)
-
-
-def yaw_torque(f: RotorForces, p: QuadParams) -> float:
-    """Net reaction torque about body z from the two rotor pairs."""
-    return p.c * (-f.f1 + f.f2 - f.f3 + f.f4)
-
-
-def total_thrust(f: RotorForces) -> float:
-    return f.f1 + f.f2 + f.f3 + f.f4
+def mixer_inverse(p: QuadParams) -> np.ndarray:
+    """M^-1 in closed form, S^T diag(1/4, 1/(2d), 1/(2d), 1/(4c)); exact up
+    to the rounding of those four scales."""
+    half_arm = 1.0 / (2.0 * p.d)
+    return _MIXER_SIGNS.T * np.array([0.25, half_arm, half_arm, 1.0 / (4.0 * p.c)])
 
 
 def mix(f: RotorForces, p: QuadParams) -> GeneralizedInput:
-    """Map four rotor thrusts to (net upward force, roll, pitch, yaw torque)."""
+    """Map four rotor thrusts to (net upward force, roll, pitch, yaw torque):
+    M F minus the hover offset (m g, 0, 0, 0).
+
+    Written out rather than as a matvec: d*(f2 - f4) keeps the digits that
+    d*f2 - d*f4 loses on near-balanced rotors.
+    """
     return GeneralizedInput(
-        u1=total_thrust(f) - p.m * p.g,
-        u2=roll_torque(f, p),
-        u3=pitch_torque(f, p),
-        u4=yaw_torque(f, p),
+        u1=f.f1 + f.f2 + f.f3 + f.f4 - p.m * p.g,
+        u2=p.d * (f.f2 - f.f4),
+        u3=p.d * (f.f1 - f.f3),
+        u4=p.c * (-f.f1 + f.f2 - f.f3 + f.f4),
     )
 
 
 def demix(u: GeneralizedInput, p: QuadParams) -> RotorForces:
-    """Exact inverse of mix: the unique rotor-force quadruple producing ``u``.
+    """Exact inverse of mix: the unique rotor-force quadruple producing ``u``,
+    M^-1 (u + (m g, 0, 0, 0)) written out, which is faster than a matvec.
 
     Never clamps: a commanded input that needs a rotor to pull downward
     comes back with a negative entry; use is_physical to detect saturation.
@@ -112,23 +120,3 @@ def demix(u: GeneralizedInput, p: QuadParams) -> RotorForces:
 def is_physical(f: RotorForces) -> bool:
     """True iff no rotor is asked to push downward (all thrusts >= 0)."""
     return f.f1 >= 0.0 and f.f2 >= 0.0 and f.f3 >= 0.0 and f.f4 >= 0.0
-
-
-def translational_accels(
-    phi: float, theta: float, u1: float, p: QuadParams
-) -> tuple[float, float, float]:
-    """Small-angle linear accelerations (ax, ay, az) for tilt (phi, theta)
-    and net upward force u1.
-
-    Outside |angle| < 0.5 rad the linearization is unreliable; a
-    SmallAngleDomainViolation warning is issued (not an error, so the
-    breakdown can be probed deliberately) and the formulas still evaluate.
-    """
-    if abs(phi) >= SMALL_ANGLE_LIMIT or abs(theta) >= SMALL_ANGLE_LIMIT:
-        warnings.warn(
-            f"tilt (phi={phi!r}, theta={theta!r}) outside small-angle domain "
-            f"|angle| < {SMALL_ANGLE_LIMIT} rad",
-            SmallAngleDomainViolation,
-            stacklevel=2,
-        )
-    return (-p.g * theta, p.g * phi, u1 / p.m)

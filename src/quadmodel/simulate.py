@@ -29,16 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import NotNilpotent, StateSpaceModel, expm_nilpotent, nilpotency_index
-from .models import DOF6_STATE_LABELS, ROTOR_FORCE_LABELS, Dof3State, Dof6State
+from .linalg import NotNilpotent, StateSpaceModel, expm_nilpotent
+from .models import DOF6_STATE_LABELS, ROTOR_FORCE_LABELS
 from .params import QuadParams, validate
-from .rotor_forces import (
-    RotorForces,
-    pitch_torque,
-    roll_torque,
-    total_thrust,
-    yaw_torque,
-)
+from .rotor_forces import RotorForces
 
 INTEGRATORS = ("exact_zoh", "rk4")
 PLANTS = ("linear_3dof", "linear_6dof", "nonlinear_6dof")
@@ -115,21 +109,24 @@ def zoh_discretize(m: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarra
     """Exact one-step transition pair (Phi, Gamma) for a held input:
     x+ = Phi x + Gamma u, valid when A is nilpotent.
 
-    Phi = exp(A dt); Gamma = (sum_j A^j dt^(j+1)/(j+1)!) B, both series
-    terminating at the nilpotency index.
+    Van Loan: exp([[A, B], [0, 0]] dt) = [[Phi, Gamma], [0, I]], and the
+    augmented matrix is nilpotent whenever A is, so its series terminates.
     """
-    k = nilpotency_index(m.A)
-    if k is None:
+    n = m.n
+    aug = np.zeros((n + m.p, n + m.p))
+    aug[:n, :n] = m.A
+    # Each input column is scaled to unit size by a power of two, which is
+    # exact: the nilpotency test on aug measures entries against its largest
+    # one, and B's columns can lie many decades apart (1/m against g/Ix).
+    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(m.B), axis=0, initial=0.0))[1])
+    aug[:n, n:] = m.B * scale
+    try:
+        e = expm_nilpotent(aug, dt)
+    except NotNilpotent:
         raise NotNilpotent(
             "exact ZOH stepping needs a nilpotent A matrix; use integrator='rk4'"
-        )
-    phi = expm_nilpotent(m.A, dt)
-    gamma_factor = np.eye(m.n) * dt
-    term = np.eye(m.n) * dt
-    for j in range(1, k):
-        term = term @ m.A * (dt / (j + 1))
-        gamma_factor = gamma_factor + term
-    return phi, gamma_factor @ m.B
+        ) from None
+    return e[:n, :n], e[:n, n:] / scale
 
 
 def zoh_step(m: StateSpaceModel, x, u, dt: float) -> np.ndarray:
@@ -172,8 +169,6 @@ def simulate(
     """
     if cfg.plant == "nonlinear_6dof":
         raise ValueError("cfg.plant is nonlinear_6dof; use simulate_nonlinear")
-    if isinstance(x0, (Dof3State, Dof6State)):
-        x0 = x0.as_array()
     p = m.p
     x = np.asarray(x0, dtype=float).reshape(m.n)
     steps = cfg.n_steps
@@ -275,7 +270,7 @@ def nonlinear_deriv(p: QuadParams, x, f: RotorForces) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     phi, theta = x[6], x[7]
-    thrust = total_thrust(f)
+    thrust = f.f1 + f.f2 + f.f3 + f.f4
     return np.array(
         [
             x[3],
@@ -287,9 +282,9 @@ def nonlinear_deriv(p: QuadParams, x, f: RotorForces) -> np.ndarray:
             x[9],
             x[10],
             x[11],
-            roll_torque(f, p) / p.Ix,
-            pitch_torque(f, p) / p.Iy,
-            yaw_torque(f, p) / p.Iz,
+            p.d * (f.f2 - f.f4) / p.Ix,
+            p.d * (f.f1 - f.f3) / p.Iy,
+            p.c * (-f.f1 + f.f2 - f.f3 + f.f4) / p.Iz,
         ]
     )
 
@@ -309,8 +304,6 @@ def simulate_nonlinear(
     validate(p)
     if cfg.plant != "nonlinear_6dof":
         raise ValueError("simulate_nonlinear requires cfg.plant = 'nonlinear_6dof'")
-    if isinstance(x0, Dof6State):
-        x0 = x0.as_array()
     x = np.asarray(x0, dtype=float).reshape(12)
     steps = cfg.n_steps
     times = np.arange(steps + 1) * cfg.dt

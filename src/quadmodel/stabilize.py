@@ -1,21 +1,19 @@
 """Full-state feedback synthesis by pole placement on integrator chains.
 
-Both models decompose into decoupled chains of pure integrators:
-
-  6DOF: U1 -> (z, vz)                          order 2, gain  1/m
-        U2 -> (y, vy, phi, phi_dot)            order 4, gain  g/Ix
-        U3 -> (x, vx, theta, theta_dot)        order 4, gain -g/Iy
-        U4 -> (psi, psi_dot)                   order 2, gain  1/Iz
-  3DOF: per-axis torque -> (angle, rate)       order 2, gains 1/Ix, 1/Iy, 1/Iz
+Both models decompose into the decoupled chains of pure integrators that
+models.CHAINS_6DOF and models.CHAINS_3DOF list: per chain its input row,
+its states (most-integrated first), the inertia its input divides by, and
+its tilt coupling (1, +g or -g).
 
 On a chain of k integrators with input gain b, the feedback row in
 "derivative coordinates" (most-integrated state first) that realizes a
 monic target polynomial s^k + a1 s^(k-1) + ... + ak is simply
 k_j = a_(k-j+1) / b -- Ackermann collapses to reading coefficients off the
-companion form. The 4-chains are handled by scaling the angle/rate entries
-by the tilt-to-acceleration coupling (+-g); the 3DOF design happens in
-torque space and is then pushed through the inverse mixing relations into
-rotor-force space, zero net-thrust offset.
+companion form. The derivative coordinates scale the chain's angle and
+rate by its coupling, so those gain entries scale by it too. The 3DOF
+design happens in torque space and is then pushed through the torque
+columns of the inverse mixer into rotor-force space, zero net-thrust
+offset.
 
 Feedback convention: u = r - K x, with r defaulting to the hover
 equilibrium input.
@@ -28,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import char_poly, is_hurwitz
-from .models import build_3dof, build_6dof
-from .params import QuadParams, validate
+from .models import CHAINS_3DOF, CHAINS_6DOF, build_3dof, build_6dof
+from .params import QuadParams
+from .rotor_forces import mixer_inverse
 
 
 class PolePlacementError(ValueError):
@@ -73,12 +72,9 @@ def _validate_pole_set(name: str, poles: tuple) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class PoleSpec:
-    """Desired closed-loop pole multisets per chain.
-
-    For the 6DOF design: z and yaw take 2 poles each, roll and pitch take
-    4 each (their chains run through the tilt coupling into position).
-    For the 3DOF design only roll/pitch/yaw are used, 2 poles each.
-    """
+    """Desired closed-loop pole multisets per chain: one pole per state of
+    the chain in models.CHAINS_6DOF or models.CHAINS_3DOF, none for a chain
+    the model lacks."""
 
     z: tuple = ()
     roll: tuple = ()
@@ -92,12 +88,12 @@ class PoleSpec:
     @classmethod
     def uniform_6dof(cls, pole: complex = -2.0) -> "PoleSpec":
         """Every chain placed at a single repeated pole (6DOF chain sizes)."""
-        return cls(z=(pole,) * 2, roll=(pole,) * 4, pitch=(pole,) * 4, yaw=(pole,) * 2)
+        return cls(**{ch.name: (pole,) * len(ch.states) for ch in CHAINS_6DOF})
 
     @classmethod
     def uniform_3dof(cls, pole: complex = -2.0) -> "PoleSpec":
         """Every attitude axis placed at a single repeated pole."""
-        return cls(roll=(pole,) * 2, pitch=(pole,) * 2, yaw=(pole,) * 2)
+        return cls(**{ch.name: (pole,) * len(ch.states) for ch in CHAINS_3DOF})
 
 
 @dataclass(frozen=True)
@@ -173,31 +169,9 @@ def design_6dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     flip sign relative to the roll->y chain; the internal Hurwitz check at
     the end would catch any regression there.
     """
-    validate(p)
-    for name, need in (("z", 2), ("roll", 4), ("pitch", 4), ("yaw", 2)):
-        got = len(getattr(spec, name))
-        if got != need:
-            raise PoleCountMismatch(f"6DOF {name} chain needs {need} poles, got {got}")
-
-    model = build_6dof(p)
-    K = np.zeros((4, 12))
-
-    kz = place_integrator_chain(2, 1.0 / p.m, spec.z)
-    K[0, 2], K[0, 5] = kz[0], kz[1]
-
-    # roll->y chain in derivative coordinates (y, vy, g*phi, g*phi_dot)
-    kr = place_integrator_chain(4, p.g / p.Ix, spec.roll)
-    K[1, 1], K[1, 4] = kr[0], kr[1]
-    K[1, 6], K[1, 9] = p.g * kr[2], p.g * kr[3]
-
-    # pitch->x chain: x_ddot = -g*theta, hence the sign-flipped gain
-    kp = place_integrator_chain(4, -p.g / p.Iy, spec.pitch)
-    K[2, 0], K[2, 3] = kp[0], kp[1]
-    K[2, 7], K[2, 10] = -p.g * kp[2], -p.g * kp[3]
-
-    ky = place_integrator_chain(2, 1.0 / p.Iz, spec.yaw)
-    K[3, 8], K[3, 11] = ky[0], ky[1]
-
+    model = build_6dof(p)  # validates p first
+    _check_pole_counts(spec, CHAINS_6DOF, "6DOF", "chain")
+    K = _chain_gains(p, spec, CHAINS_6DOF, model.n)
     _check_closed_loop(model.A - model.B @ K)
     return GainMatrix(K, model.state_labels, model.input_labels)
 
@@ -206,38 +180,38 @@ def design_3dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     """4x6 feedback gain for the 3DOF model, in rotor-force input space.
 
     Each axis is placed as a 2nd-order chain in torque space; the torque
-    rows are then mapped to the four rotor forces by the inverse mixing
-    relations with zero net-thrust offset (the attitude states never see
-    total thrust, so the offset is free and zero keeps gains small).
+    rows are then mapped to the four rotor forces by the torque columns of
+    the inverse mixer, with zero net-thrust offset (the attitude states
+    never see total thrust, so the offset is free and zero keeps gains
+    small).
     """
-    validate(p)
-    for name in ("roll", "pitch", "yaw"):
-        got = len(getattr(spec, name))
-        if got != 2:
-            raise PoleCountMismatch(f"3DOF {name} axis needs 2 poles, got {got}")
-
-    model = build_3dof(p)
-    Kt = np.zeros((3, 6))  # torque-space gains: rows (tau_x, tau_y, tau_z)
-    kr = place_integrator_chain(2, 1.0 / p.Ix, spec.roll)
-    Kt[0, 0], Kt[0, 3] = kr[0], kr[1]
-    kp = place_integrator_chain(2, 1.0 / p.Iy, spec.pitch)
-    Kt[1, 1], Kt[1, 4] = kp[0], kp[1]
-    ky = place_integrator_chain(2, 1.0 / p.Iz, spec.yaw)
-    Kt[2, 2], Kt[2, 5] = ky[0], ky[1]
-
-    # forces realizing torques (tau_x, tau_y, tau_z) with zero added thrust
-    torque_to_forces = np.array(
-        [
-            [0.0, 1.0 / (2.0 * p.d), -1.0 / (4.0 * p.c)],
-            [1.0 / (2.0 * p.d), 0.0, 1.0 / (4.0 * p.c)],
-            [0.0, -1.0 / (2.0 * p.d), -1.0 / (4.0 * p.c)],
-            [-1.0 / (2.0 * p.d), 0.0, 1.0 / (4.0 * p.c)],
-        ]
-    )
-    K = torque_to_forces @ Kt
-
+    model = build_3dof(p)  # validates p first
+    _check_pole_counts(spec, CHAINS_3DOF, "3DOF", "axis")
+    K = mixer_inverse(p)[:, 1:] @ _chain_gains(p, spec, CHAINS_3DOF, model.n)[1:]
     _check_closed_loop(model.A - model.B @ K)
     return GainMatrix(K, model.state_labels, model.input_labels)
+
+
+def _check_pole_counts(spec: PoleSpec, chains, model: str, noun: str) -> None:
+    """Each chain of the table gets its own count; a chain the model lacks gets none."""
+    sizes = {ch.name: len(ch.states) for ch in chains}
+    for name, poles in vars(spec).items():
+        got, need = len(poles), sizes.get(name, 0)
+        if got != need:
+            raise PoleCountMismatch(f"{model} {name} {noun} needs {need} poles, got {got}")
+
+
+def _chain_gains(p: QuadParams, spec: PoleSpec, chains, n: int) -> np.ndarray:
+    """4 x n gains in generalized-input space, one row per chain's input."""
+    K = np.zeros((4, n))
+    for ch in chains:
+        s, coupling = ch.states, ch.coupling(p)
+        b = coupling / getattr(p, ch.inertia)
+        k = place_integrator_chain(len(s), b, getattr(spec, ch.name))
+        for j, kj in enumerate(k.tolist()):
+            # derivative coordinates scale the chain's (angle, rate) by its coupling
+            K[ch.input_row, s[j]] = kj * coupling if j >= len(s) - 2 else kj
+    return K
 
 
 def _check_closed_loop(a_closed: np.ndarray) -> None:

@@ -286,3 +286,31 @@ def test_bad_dt_is_exit_2(capsys, params_file, tmp_path):
                          "--t-final", "1", "--dt", "2",
                          "--out", str(tmp_path / "x.csv"))
     assert code == 2 and out == ""
+
+
+def test_failed_stability_check_is_exit_4(capsys, params_file, tmp_path):
+    # valid spread poles that the closed-loop check still refuses (its 12th-
+    # degree characteristic polynomial loses the smallest coefficients)
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--mode", "closed", "--x0", "z=0.5",
+                         "--poles", "z=-0.05,-100", "--poles", "roll=-0.05,-1,-2,-100",
+                         "--poles", "pitch=-0.05,-1,-2,-100", "--poles", "yaw=-0.05,-100",
+                         "--t-final", "1", "--out", str(out_path))
+    assert code == 4 and out == ""
+    assert err == ("quadmodel: gain design failed: synthesized closed loop is not Hurwitz; "
+                   "this indicates a defect in the chain/gain bookkeeping, not in the request\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("dof,message", [
+    (6, "unknown pole chain 'tilt'; choose from z, roll, pitch, yaw"),
+    (3, "unknown pole chain 'z'; choose from roll, pitch, yaw"),
+])
+def test_pole_chain_names_come_from_the_chain_table(capsys, params_file, tmp_path, dof, message):
+    name = "tilt" if dof == 6 else "z"
+    code, out, err = run(capsys, "sim", "--dof", str(dof), "--params", params_file,
+                         "--mode", "closed", "--poles", f"{name}=-1,-2", "--t-final", "1",
+                         "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and out == ""
+    assert err == f"quadmodel: error: {message}\n"

@@ -12,31 +12,12 @@ from quadmodel import (
     char_poly,
     expm_nilpotent,
     is_hurwitz,
-    mat_mul,
     nilpotency_index,
     rank,
 )
 from util import assert_close
 
 SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
-
-
-# ---------------------------------------------------------------- mat_mul
-
-
-def test_mat_mul_identity():
-    m = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(mat_mul(np.eye(3), m), m)
-
-
-def test_mat_mul_hand_example():
-    out = mat_mul([[1, 2], [3, 4]], [[0], [1]])
-    assert np.array_equal(out, [[2], [4]])
-
-
-def test_mat_mul_shape_violation():
-    with pytest.raises(DimensionMismatch):
-        mat_mul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------- rank

@@ -3,24 +3,22 @@ import pytest
 from hypothesis import given
 
 from quadmodel import (
+    CHAINS_3DOF,
+    CHAINS_6DOF,
     DOF3_INPUT_LABELS,
     DOF3_OUTPUT_LABELS,
     DOF3_STATE_LABELS,
     DOF6_INPUT_LABELS,
     DOF6_OUTPUT_LABELS,
     DOF6_STATE_LABELS,
-    Dof3State,
-    Dof6State,
     NonPositiveParameter,
     QuadParams,
     RotorForces,
     build_3dof,
     build_6dof,
     char_poly,
+    mix,
     nilpotency_index,
-    pitch_torque,
-    roll_torque,
-    yaw_torque,
 )
 from util import assert_close, quad_params
 
@@ -131,30 +129,37 @@ def test_3dof_input_matrix_agrees_with_force_algebra(p):
     m = build_3dof(p)
     rng = np.random.default_rng(0)
     f = rng.uniform(-10, 10, size=4)
-    forces = RotorForces(*f)
+    u = mix(RotorForces(*f), p)
     via_b = m.B @ f
-    expected = np.array([
-        0.0, 0.0, 0.0,
-        roll_torque(forces, p) / p.Ix,
-        pitch_torque(forces, p) / p.Iy,
-        yaw_torque(forces, p) / p.Iz,
-    ])
+    expected = np.array([0.0, 0.0, 0.0, u.u2 / p.Ix, u.u3 / p.Iy, u.u4 / p.Iz])
     assert_close(via_b, expected, rel=1e-12)
 
 
-def test_state_dataclass_ordering():
-    s3 = Dof3State(phi=1, theta=2, psi=3, phi_dot=4, theta_dot=5, psi_dot=6)
-    assert np.array_equal(s3.as_array(), [1, 2, 3, 4, 5, 6])
-    assert Dof3State.from_array([1, 2, 3, 4, 5, 6]) == s3
-
-    s6 = Dof6State(x=1, y=2, z=3, vx=4, vy=5, vz=6,
-                   phi=7, theta=8, psi=9, phi_dot=10, theta_dot=11, psi_dot=12)
-    assert np.array_equal(s6.as_array(), np.arange(1.0, 13.0))
-    assert Dof6State.from_array(np.arange(1.0, 13.0)) == s6
+# ---------------------------------------------------------------- chain tables
 
 
-def test_state_dataclass_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        Dof3State.from_array([1, 2, 3])
-    with pytest.raises(ValueError):
-        Dof6State.from_array(np.zeros(11))
+@pytest.mark.parametrize("chains,n", [(CHAINS_6DOF, 12), (CHAINS_3DOF, 6)], ids=["6dof", "3dof"])
+def test_chain_tables_partition_the_states(chains, n):
+    states = [s for ch in chains for s in ch.states]
+    assert sorted(states) == list(range(n))
+    assert sorted(ch.input_row for ch in chains) == list(range(4 - len(chains), 4))
+
+
+@given(p=quad_params)
+def test_entries_outside_the_chain_blocks_are_zero(p):
+    # the 6DOF input is U, one entry per chain; the 3DOF input is F, via the mixer
+    for m, chains, one_input in ((build_6dof(p), CHAINS_6DOF, True),
+                                 (build_3dof(p), CHAINS_3DOF, False)):
+        a_mask = np.zeros(m.A.shape, dtype=bool)
+        b_mask = np.zeros(m.B.shape, dtype=bool)
+        for ch in chains:
+            block = np.ix_(ch.states, ch.states)
+            a_mask[block] = True
+            b_mask[list(ch.states), ch.input_row if one_input else slice(None)] = True
+        assert np.all(m.A[~a_mask] == 0.0) and np.all(m.B[~b_mask] == 0.0)
+        # within a chain, each state integrates the next and only the last is driven
+        for ch in chains:
+            s = ch.states
+            sub = m.A[np.ix_(s, s)]
+            assert np.array_equal(sub != 0.0, np.eye(len(s), k=1, dtype=bool))
+            assert np.all(m.B[list(s[:-1])] == 0.0)

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,16 +7,13 @@ from quadmodel import (
     GeneralizedInput,
     QuadParams,
     RotorForces,
-    SmallAngleDomainViolation,
+    build_6dof,
     demix,
     hover_thrust_per_rotor,
     is_physical,
     mix,
-    pitch_torque,
-    roll_torque,
-    total_thrust,
-    translational_accels,
-    yaw_torque,
+    mixer,
+    mixer_inverse,
 )
 from util import assert_close, force_component, quad_params, rotor_forces
 
@@ -34,29 +29,46 @@ def _p(**kw):
 # ---------------------------------------------------------------- torques
 
 
+def _roll(f, p):
+    return mix(f, p).u2
+
+
+def _pitch(f, p):
+    return mix(f, p).u3
+
+
+def _yaw(f, p):
+    return mix(f, p).u4
+
+
+def _thrust(f, p):
+    return mix(f, p).u1 + p.m * p.g
+
+
 def test_roll_torque():
-    assert roll_torque(RotorForces(5, 5, 5, 5), _p(d=0.3)) == 0.0
-    assert roll_torque(RotorForces(0, 2, 0, 1), _p(d=0.3)) == pytest.approx(0.3, rel=1e-15)
-    assert roll_torque(RotorForces(7, 0, 9, 1), _p(d=0.5)) == pytest.approx(-0.5, rel=1e-15)
+    assert _roll(RotorForces(5, 5, 5, 5), _p(d=0.3)) == 0.0
+    assert _roll(RotorForces(0, 2, 0, 1), _p(d=0.3)) == pytest.approx(0.3, rel=1e-15)
+    assert _roll(RotorForces(7, 0, 9, 1), _p(d=0.5)) == pytest.approx(-0.5, rel=1e-15)
 
 
 def test_pitch_torque():
-    assert pitch_torque(RotorForces(5, 5, 5, 5), _p(d=0.3)) == 0.0
-    assert pitch_torque(RotorForces(2, 0, 1, 0), _p(d=0.3)) == pytest.approx(0.3, rel=1e-15)
-    assert pitch_torque(RotorForces(1, 9, 3, 9), _p(d=0.25)) == pytest.approx(-0.5, rel=1e-15)
+    assert _pitch(RotorForces(5, 5, 5, 5), _p(d=0.3)) == 0.0
+    assert _pitch(RotorForces(2, 0, 1, 0), _p(d=0.3)) == pytest.approx(0.3, rel=1e-15)
+    assert _pitch(RotorForces(1, 9, 3, 9), _p(d=0.25)) == pytest.approx(-0.5, rel=1e-15)
 
 
 def test_yaw_torque():
-    assert yaw_torque(RotorForces(5, 5, 5, 5), _p(c=0.01)) == 0.0
-    assert yaw_torque(RotorForces(1, 2, 1, 2), _p(c=0.01)) == pytest.approx(0.02, rel=1e-15)
-    assert yaw_torque(RotorForces(2, 1, 2, 1), _p(c=0.01)) == pytest.approx(-0.02, rel=1e-15)
+    assert _yaw(RotorForces(5, 5, 5, 5), _p(c=0.01)) == 0.0
+    assert _yaw(RotorForces(1, 2, 1, 2), _p(c=0.01)) == pytest.approx(0.02, rel=1e-15)
+    assert _yaw(RotorForces(2, 1, 2, 1), _p(c=0.01)) == pytest.approx(-0.02, rel=1e-15)
 
 
 def test_total_thrust():
-    assert total_thrust(RotorForces(0, 0, 0, 0)) == 0.0
-    assert total_thrust(RotorForces(1, 2, 3, 4)) == 10.0
+    p = _p(m=1.0, g=10.0)
+    assert mix(RotorForces(0, 0, 0, 0), p).u1 == -10.0
+    assert mix(RotorForces(1, 2, 3, 4), p).u1 == 0.0
     h = hover_thrust_per_rotor(_p())
-    assert total_thrust(RotorForces(h, h, h, h)) == 9.81
+    assert mix(RotorForces(h, h, h, h), _p()).u1 == 0.0
 
 
 @given(f=rotor_forces, p=quad_params)
@@ -64,19 +76,17 @@ def test_equal_swaps_flip_torque_signs(f, p):
     roll_swapped = RotorForces(f.f1, f.f4, f.f3, f.f2)        # f2 <-> f4
     pitch_swapped = RotorForces(f.f3, f.f2, f.f1, f.f4)       # f1 <-> f3
     pair_swapped = RotorForces(f.f2, f.f1, f.f4, f.f3)        # (f1,f3) <-> (f2,f4)
-    assert roll_torque(roll_swapped, p) == -roll_torque(f, p)
-    assert pitch_torque(pitch_swapped, p) == -pitch_torque(f, p)
+    assert _roll(roll_swapped, p) == -_roll(f, p)
+    assert _pitch(pitch_swapped, p) == -_pitch(f, p)
     # yaw sums four terms, so the swap reassociates the additions
-    assert_close(yaw_torque(pair_swapped, p), -yaw_torque(f, p), rel=1e-12)
-    assert_close(total_thrust(roll_swapped), total_thrust(f), rel=1e-12)
+    assert_close(_yaw(pair_swapped, p), -_yaw(f, p), rel=1e-12)
+    assert_close(_thrust(roll_swapped, p), _thrust(f, p), rel=1e-12)
 
 
 @given(v=force_component, p=quad_params)
 def test_equal_forces_produce_no_torque(v, p):
-    f = RotorForces(v, v, v, v)
-    assert roll_torque(f, p) == 0.0
-    assert pitch_torque(f, p) == 0.0
-    assert yaw_torque(f, p) == 0.0
+    u = mix(RotorForces(v, v, v, v), p)
+    assert (u.u2, u.u3, u.u4) == (0.0, 0.0, 0.0)
 
 
 @given(f=rotor_forces, g=rotor_forces, a=st.floats(-4, 4), b=st.floats(-4, 4), p=quad_params)
@@ -85,11 +95,38 @@ def test_pre_offset_map_is_linear(f, g, a, b, p):
         a * f.f1 + b * g.f1, a * f.f2 + b * g.f2,
         a * f.f3 + b * g.f3, a * f.f4 + b * g.f4,
     )
-    for op in (total_thrust, lambda ff: roll_torque(ff, p),
-               lambda ff: pitch_torque(ff, p), lambda ff: yaw_torque(ff, p)):
+    for op in (_thrust, _roll, _pitch, _yaw):
         # the two sides can cancel, so scale the tolerance by the operands
-        scale = max(1.0, abs(a * op(f)), abs(b * op(g)))
-        assert_close(op(combo), a * op(f) + b * op(g), rel=1e-12, floor=scale)
+        scale = max(1.0, abs(a * op(f, p)), abs(b * op(g, p)))
+        assert_close(op(combo, p), a * op(f, p) + b * op(g, p), rel=1e-12, floor=scale)
+
+
+# ---------------------------------------------------------------- the mixer matrix
+
+
+@given(p=quad_params)
+def test_mixer_inverse_is_exact(p):
+    m, m_inv = mixer(p), mixer_inverse(p)
+    for a, b in ((m, m_inv), (m_inv, m)):
+        # relative to the summed products: a fused multiply-add leaves the
+        # rounding of c/(2d) behind where two such products cancel
+        assert np.all(np.abs(a @ b - np.eye(4)) <= 1e-15 * (np.abs(a) @ np.abs(b)))
+
+
+@given(f=rotor_forces, p=quad_params)
+def test_mix_and_demix_agree_with_the_mixer(f, p):
+    offset = np.array([p.m * p.g, 0.0, 0.0, 0.0])
+    u = np.array(mix(f, p).as_tuple())
+    assert_close(u + offset, mixer(p) @ f.as_tuple(), rel=1e-12)
+    back = demix(GeneralizedInput(*u), p).as_tuple()
+    assert_close(back, mixer_inverse(p) @ (u + offset), rel=1e-12)
+
+
+def test_mix_keeps_the_digits_of_near_balanced_rotors():
+    p = _p(d=0.3)
+    f4 = 3.0 * (1 + 1e-12)
+    assert mix(RotorForces(2.5, 3.0, 2.5, f4), p).u2 == p.d * (3.0 - f4)
+    assert mix(RotorForces(2.5, 2.5, f4, 3.0), p).u3 == p.d * (2.5 - f4)
 
 
 # ---------------------------------------------------------------- mix / demix
@@ -159,21 +196,12 @@ def test_non_finite_forces_rejected():
 
 
 def test_translational_accel_examples():
-    assert translational_accels(0.0, 0.0, 0.0, _p()) == (0.0, 0.0, 0.0)
-    ax, ay, az = translational_accels(0.0, 0.1, 0.0, _p())
-    assert (ax, ay, az) == pytest.approx((-0.981, 0.0, 0.0), rel=1e-15)
-    ax, ay, az = translational_accels(0.1, 0.0, 1.0, _p(m=2))
-    assert (ax, ay, az) == pytest.approx((0.0, 0.981, 0.5), rel=1e-15)
+    # the small-angle accelerations (ax, ay, az) are rows vx, vy, vz of A x + B u
+    def accels(phi, theta, u1, p):
+        x = np.zeros(12)
+        x[6], x[7] = phi, theta
+        return tuple(build_6dof(p).deriv(x, np.array([u1, 0.0, 0.0, 0.0]))[3:6])
 
-
-@pytest.mark.parametrize("phi,theta", [(0.5, 0.0), (0.0, -0.6), (0.7, 0.7)])
-def test_large_tilt_warns_but_still_evaluates(phi, theta, params):
-    with pytest.warns(SmallAngleDomainViolation):
-        ax, ay, az = translational_accels(phi, theta, 0.0, params)
-    assert np.isfinite([ax, ay, az]).all()
-
-
-def test_small_tilt_does_not_warn(params):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        translational_accels(0.49, -0.49, 0.2, params)
+    assert accels(0.0, 0.0, 0.0, _p()) == (0.0, 0.0, 0.0)
+    assert accels(0.0, 0.1, 0.0, _p()) == pytest.approx((-0.981, 0.0, 0.0), rel=1e-15)
+    assert accels(0.1, 0.0, 1.0, _p(m=2)) == pytest.approx((0.0, 0.981, 0.5), rel=1e-15)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadmodel import (
     GeneralizedInput,
@@ -19,7 +21,9 @@ from quadmodel import (
     demix,
     design_3dof_gains,
     design_6dof_gains,
+    expm_nilpotent,
     hover_thrust_per_rotor,
+    nilpotency_index,
     nonlinear_deriv,
     rk4_step,
     simulate,
@@ -28,7 +32,7 @@ from quadmodel import (
     zoh_discretize,
     zoh_step,
 )
-from util import assert_close
+from util import assert_close, quad_params
 
 
 def _integrator_model():
@@ -99,6 +103,43 @@ def test_propagator_is_invertible(params):
         phi_fwd, _ = zoh_discretize(m, 0.01)
         phi_bwd, _ = zoh_discretize(m, -0.01)
         assert_close(phi_fwd @ phi_bwd, np.eye(m.n), rel=1e-12)
+
+
+def _series_zoh(m, dt):
+    # reference: Phi from the A series, Gamma = (sum_j A^j dt^(j+1)/(j+1)!) B
+    phi = expm_nilpotent(m.A, dt)
+    gamma_factor = np.eye(m.n) * dt
+    term = np.eye(m.n) * dt
+    for j in range(1, nilpotency_index(m.A)):
+        term = term @ m.A * (dt / (j + 1))
+        gamma_factor = gamma_factor + term
+    return phi, gamma_factor @ m.B
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=quad_params, dt=st.floats(min_value=1e-4, max_value=0.1))
+def test_van_loan_zoh_matches_the_series(p, dt):
+    for m in (build_3dof(p), build_6dof(p)):
+        phi, gamma = zoh_discretize(m, dt)
+        ref_phi, ref_gamma = _series_zoh(m, dt)
+        assert np.array_equal(phi, ref_phi)
+        nz = ref_gamma != 0.0
+        assert np.array_equal(gamma != 0.0, nz)
+        assert np.all(np.abs(gamma[nz] - ref_gamma[nz]) <= 1e-15 * np.abs(ref_gamma[nz]))
+
+
+def test_van_loan_zoh_keeps_inputs_decades_apart():
+    # 1/m = 1e10 against g/Ix ~ 1e-3: unscaled, the nilpotency test on the
+    # augmented matrix would take its 4th power for zero and drop dt^4 g/(24 Ix)
+    p = QuadParams(m=1e-10, d=0.25, c=0.01, Ix=1e4, Iy=1e4, Iz=0.02)
+    m = build_6dof(p)
+    dt = 0.01
+    phi, gamma = zoh_discretize(m, dt)
+    assert gamma[1, 1] == pytest.approx(p.g * dt**4 / (24.0 * p.Ix), rel=1e-14)
+    assert gamma[0, 2] == pytest.approx(-p.g * dt**4 / (24.0 * p.Iy), rel=1e-14)
+    ref_phi, ref_gamma = _series_zoh(m, dt)
+    assert np.array_equal(phi, ref_phi)
+    assert np.all(np.abs(gamma - ref_gamma) <= 1e-15 * np.abs(ref_gamma))
 
 
 # ---------------------------------------------------------------- rk4
@@ -495,11 +536,3 @@ def test_nonlinear_overflow_is_reported_at_its_step(params, position, rate):
     cfg = SimConfig(t_final=2.0, dt=0.01, integrator="rk4", plant="nonlinear_6dof")
     with pytest.raises(NonFiniteDerivative, match=r"on the step at t=0\.97$"):
         simulate_nonlinear(params, x0, _hover_forces_fn(params), cfg)
-
-
-def test_nonlinear_accepts_dof6_state_dataclass(params):
-    from quadmodel import Dof6State
-
-    cfg = SimConfig(t_final=0.05, dt=0.01, integrator="rk4", plant="nonlinear_6dof")
-    traj = simulate_nonlinear(params, Dof6State(theta=0.01), _hover_forces_fn(params), cfg)
-    assert traj.states[0, 7] == 0.01

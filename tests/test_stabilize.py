@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadmodel import (
+    CHAINS_3DOF,
+    CHAINS_6DOF,
     GainMatrix,
     PoleCountMismatch,
     PolePlacementError,
@@ -133,7 +135,7 @@ def test_6dof_placement_matches_chain_products(spec):
 
 
 def test_6dof_pole_count_mismatch(params):
-    with pytest.raises(PoleCountMismatch):
+    with pytest.raises(PoleCountMismatch, match=r"^6DOF roll chain needs 4 poles, got 3$"):
         design_6dof_gains(params, PoleSpec(z=(-1.0,) * 2, roll=(-1.0,) * 3,
                                            pitch=(-1.0,) * 4, yaw=(-1.0,) * 2))
 
@@ -159,9 +161,23 @@ def test_3dof_force_rows_add_no_net_thrust(params):
 
 
 def test_3dof_pole_count_mismatch(params):
-    with pytest.raises(PoleCountMismatch):
+    with pytest.raises(PoleCountMismatch, match=r"^3DOF roll axis needs 2 poles, got 3$"):
         design_3dof_gains(params, PoleSpec(roll=(-1.0, -2.0, -3.0),
                                            pitch=(-1.0, -2.0), yaw=(-1.0, -2.0)))
+
+
+def test_3dof_rejects_poles_for_the_z_chain_it_lacks(params):
+    spec = PoleSpec(z=(-1.0, -2.0), roll=(-1.0, -2.0), pitch=(-1.0, -2.0), yaw=(-1.0, -2.0))
+    with pytest.raises(PoleCountMismatch, match=r"^3DOF z axis needs 0 poles, got 2$"):
+        design_3dof_gains(params, spec)
+
+
+def test_uniform_specs_follow_the_chain_tables():
+    for spec, chains in ((PoleSpec.uniform_6dof(-3.0), CHAINS_6DOF),
+                         (PoleSpec.uniform_3dof(-3.0), CHAINS_3DOF)):
+        sizes = {ch.name: len(ch.states) for ch in chains}
+        for name in ("z", "roll", "pitch", "yaw"):
+            assert getattr(spec, name) == (-3.0 + 0j,) * sizes.get(name, 0)
 
 
 # ---------------------------------------------------------------- closed loop behavior
