@@ -74,7 +74,9 @@ from .stabilize import (
     PolePlacementError,
     PoleSpec,
     UnstablePoleRequested,
+    UnstableSampledLoop,
     ZeroInputGain,
+    check_sampled_loop,
     design_3dof_gains,
     design_6dof_gains,
     place_integrator_chain,

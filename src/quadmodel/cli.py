@@ -6,8 +6,10 @@ Exit codes are fixed for scriptability:
     0  success
     2  input problem (missing/garbled file, bad flag combination, bad spec)
     3  physical parameter validation failure
-    4  runtime failure: a simulation left the finite floats, or a
-       designed closed loop failed its own stability check
+    4  runtime failure: a simulation left the finite floats, a linear
+       closed-loop run whose sampled loop Phi - Gamma K is unstable at
+       its dt (refused before it runs), or a designed closed loop that
+       failed its own stability check
 
 Error paths print a one-line diagnostic on stderr and nothing on stdout.
 """
@@ -38,6 +40,8 @@ from .stabilize import (
     InternalStabilityCheckFailed,
     PolePlacementError,
     PoleSpec,
+    UnstableSampledLoop,
+    check_sampled_loop,
     design_3dof_gains,
     design_6dof_gains,
 )
@@ -302,6 +306,8 @@ def cmd_sim(args) -> int:
             gains = design_6dof_gains(p, spec) if args.dof == 6 else design_3dof_gains(p, spec)
         except PolePlacementError as e:
             raise InputError(str(e)) from e
+        if not nonlinear:
+            check_sampled_loop(model, gains.K, cfg.dt, args.dof)
         if args.gains_out:
             _write_gains(gains, args.gains_out)
 
@@ -439,6 +445,9 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except InternalStabilityCheckFailed as e:
         print(f"quadmodel: gain design failed: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except UnstableSampledLoop as e:
+        print(f"quadmodel: simulation refused: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -1,28 +1,26 @@
 """Small dense-matrix numerics and the generic LTI state-space container.
 
-Everything here works on plain 2-D float64 numpy arrays. The matrices in
-this problem are tiny (at most 12x48) with exact-formula entries, so rank
-is decided by Gaussian elimination with partial pivoting rather than
-singular values, characteristic polynomials come from the
-Faddeev-LeVerrier recursion, and stability is decided by a Routh array.
-A general eigensolver is deliberately avoided: the open-loop models are
-nilpotent (spectrum identically zero) and closed-loop stability only needs
-char_poly + is_hurwitz.
+Everything here works on plain float64 numpy arrays. The matrices in this
+problem are tiny (at most 12x48, or 72x12) with exact-formula entries, so
+rank is decided by Gaussian elimination with partial pivoting rather than
+singular values, run on Python floats because the Kalman matrices are
+mostly exact zeros. Characteristic polynomials come from the
+Faddeev-LeVerrier recursion, on one matrix or on a stack of equal-size
+blocks, and stability is decided by a Routh array. A general eigensolver
+is deliberately avoided: the open-loop models are nilpotent (spectrum
+identically zero), and a closed loop is checked chain block by chain
+block with char_poly + is_hurwitz.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # Faddeev-LeVerrier is O(n^4) and numerically adequate only at desk scale.
 MAX_CHARPOLY_DIM = 16
-
-# Routh-array pivot substitute when a leading entry is exactly zero. Pure
-# bookkeeping: it keeps the table well-defined; the zero itself already
-# disqualifies strict stability.
-_ROUTH_EPS = 1e-30
 
 
 class DimensionMismatch(ValueError):
@@ -62,26 +60,52 @@ def rank(a, rel_tol: float = 1e-9) -> int:
     """Numerical rank by row reduction with partial pivoting.
 
     A pivot counts iff its magnitude exceeds rel_tol * max(1, max|a|),
-    the max taken over the original matrix.
+    the max taken over the original matrix, which must be finite. The
+    pivot of a column is the first row of largest magnitude on or below
+    the current one.
+
+    The elimination runs on Python floats and skips every row whose entry
+    in the pivot column is exactly zero, and every pivot-row entry that
+    is exactly zero: x - 0*y can only change the sign of a zero, so no
+    magnitude and no pivot decision changes. For the same reason a column
+    of zeros stays zero and never pivots, and zero rows below the last
+    nonzero one never move, so both are dropped first. The Kalman
+    matrices of the chain models are mostly such zeros.
     """
     if rel_tol <= 0.0:
         raise ValueError(f"rel_tol must be > 0, got {rel_tol!r}")
-    m = _as_matrix(a).copy()
+    m = _as_matrix(a)
     if m.size == 0:
         return 0
+    if not np.isfinite(m).all():
+        raise ValueError("rank needs a finite matrix")
     thresh = _zero_tol(m, rel_tol)
-    rows, cols = m.shape
+    live = np.flatnonzero(m.any(axis=1))
+    if not live.size:
+        return 0
+    m = m[: live[-1] + 1, m.any(axis=0)]
+    rows = m.tolist()
+    n_rows, n_cols = m.shape
     r = 0
-    for col in range(cols):
-        if r == rows:
+    for col in range(n_cols):
+        if r == n_rows:
             break
-        piv = r + int(np.argmax(np.abs(m[r:, col])))
-        if abs(m[piv, col]) <= thresh:
+        mags = [abs(row[col]) for row in rows[r:]]
+        best = max(mags)
+        if best <= thresh:
             continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        factors = m[r + 1 :, col] / m[r, col]
-        m[r + 1 :, col:] -= np.outer(factors, m[r, col:])
+        piv = r + mags.index(best)
+        pivot_row = rows[piv]
+        rows[piv] = rows[r]
+        rows[r] = pivot_row
+        pivot = pivot_row[col]
+        nonzero = [j for j in range(col + 1, n_cols) if pivot_row[j] != 0.0]
+        for row in rows[r + 1 :]:
+            x = row[col]
+            if x != 0.0:
+                f = x / pivot
+                for j in nonzero:
+                    row[j] -= f * pivot_row[j]
         r += 1
     return r
 
@@ -125,22 +149,30 @@ def expm_nilpotent(a, t: float) -> np.ndarray:
 
 def char_poly(a) -> np.ndarray:
     """Monic characteristic polynomial coefficients [1, c1, ..., cn] of
-    det(lambda I - A), by the Faddeev-LeVerrier recursion."""
-    m = _require_square(a)
-    n = m.shape[0]
+    det(lambda I - A), by the Faddeev-LeVerrier recursion.
+
+    ``a`` is one n x n matrix, or a stack of k of them (shape k x n x n),
+    for which the result is k x (n + 1), one polynomial per block.
+    """
+    m = np.asarray(a, dtype=float)
+    if m.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got ndim={m.ndim}")
+    n = m.shape[-1]
+    if m.shape[-2] != n:
+        raise NotSquare(f"expected square matrices, got shape {m.shape}")
     if n > MAX_CHARPOLY_DIM:
         raise NotSquare(
             f"char_poly supports n <= {MAX_CHARPOLY_DIM}, got n={n}"
         )
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
+    coeffs = np.empty(m.shape[:-2] + (n + 1,))
+    coeffs[..., 0] = 1.0
+    eye = np.eye(n)
     am = np.zeros_like(m)
-    c = 1.0
+    c = np.ones(m.shape[:-2] + (1, 1))
     for k in range(1, n + 1):
-        work = am + c * np.eye(n)  # M_k = A M_{k-1} + c_{k-1} I
-        am = m @ work
-        c = -float(np.trace(am)) / k
-        coeffs[k] = c
+        am = m @ (am + c * eye)  # A M_k with M_k = A M_{k-1} + c_{k-1} I
+        c = am.trace(axis1=-2, axis2=-1)[..., None, None] / -k
+        coeffs[..., k] = c[..., 0, 0]
     return coeffs + 0.0  # map -0.0 coefficients to +0.0
 
 
@@ -148,38 +180,33 @@ def is_hurwitz(coeffs) -> bool:
     """True iff every root of the given real polynomial has strictly
     negative real part, decided by the Routh array.
 
-    ``coeffs`` are highest-degree first, leading coefficient nonzero
-    (normalized away internally). A zero leading-column pivot is replaced
-    by a tiny epsilon so the table stays computable, but it already rules
-    out strict stability; a whole zero row does too (roots placed
-    symmetrically about the origin).
+    ``coeffs`` are highest-degree first, finite, leading coefficient
+    nonzero (normalized away internally). Strict stability holds iff
+    every first-column entry of the Routh array is positive, so the table
+    stops at the first entry that is not: a zero there (including a whole
+    zero row, roots placed symmetrically about the origin) already rules
+    strict stability out, and no epsilon substitute is needed.
     """
-    c = np.asarray(coeffs, dtype=float).ravel()
-    if c.size < 2:
+    c = np.asarray(coeffs, dtype=float).ravel().tolist()
+    if len(c) < 2:
         raise ValueError("polynomial degree must be >= 1")
-    if c[0] == 0.0 or not np.all(np.isfinite(c)):
+    if c[0] == 0.0 or not all(map(math.isfinite, c)):
         raise ValueError("leading coefficient must be nonzero and finite")
-    c = c / c[0]  # roots are unchanged under scaling
-    n = c.size - 1
+    lead = c[0]
+    c = [v / lead for v in c]  # roots are unchanged under scaling
+    n = len(c) - 1
     width = n // 2 + 1
-    table = np.zeros((n + 1, width + 1))  # one spare column of zeros
-    table[0, : len(c[0::2])] = c[0::2]
-    table[1, : len(c[1::2])] = c[1::2]
-    first_column = [1.0, float(c[1])]
-    # epsilon-substituted pivots can push later rows to inf/nan; those rows
-    # only arise once strict stability is already ruled out, so the final
-    # all-positive check (nan compares False) still decides correctly.
-    with np.errstate(all="ignore"):
-        for i in range(2, n + 1):
-            prev, prev2 = table[i - 1], table[i - 2]
-            if not np.any(prev != 0.0):
-                return False  # zero row: even polynomial factor
-            pivot = prev[0] if prev[0] != 0.0 else _ROUTH_EPS
-            table[i, :width] = (
-                pivot * prev2[1 : width + 1] - prev2[0] * prev[1 : width + 1]
-            ) / pivot
-            first_column.append(float(table[i, 0]))
-    return all(v > 0.0 for v in first_column)
+    # two rows of the table, each padded to width + 1 with zeros
+    prev2 = c[0::2] + [0.0] * (width + 1 - len(c[0::2]))
+    prev = c[1::2] + [0.0] * (width + 1 - len(c[1::2]))
+    for _ in range(2, n + 1):
+        pivot = prev[0]
+        if not pivot > 0.0:
+            return False
+        top = prev2[0]
+        row = [(pivot * prev2[j + 1] - top * prev[j + 1]) / pivot for j in range(width)]
+        prev2, prev = prev, row + [0.0]
+    return prev[0] > 0.0
 
 
 @dataclass(frozen=True)

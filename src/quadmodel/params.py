@@ -47,10 +47,14 @@ class QuadParams:
 
 
 def validate(p: QuadParams) -> QuadParams:
-    """Return ``p`` unchanged iff every parameter is finite and > 0.
+    """Return ``p`` unchanged iff every parameter is finite and > 0 and
+    every quotient the models, their Kalman matrices and the inverse mixer
+    take of them stays finite: 1/m, then 1, d and g over Ix and Iy, 1 and
+    c over Iz, and 1/(2d), 1/(4c).
 
     Raises NonFiniteParameter or NonPositiveParameter naming the first
-    offending field.
+    offending field, or ParameterError naming the divisor of the first
+    quotient that overflows (Ix = 1e-310 makes 1/Ix infinite).
     """
     for f in fields(p):
         v = getattr(p, f.name)
@@ -60,6 +64,19 @@ def validate(p: QuadParams) -> QuadParams:
             raise NonFiniteParameter(f.name, v)
         if v <= 0.0:
             raise NonPositiveParameter(f.name, v)
+    arm = max(1.0, p.d, p.g)
+    for name, quotient in (
+        ("m", 1.0 / p.m),
+        ("Ix", arm / p.Ix),
+        ("Iy", arm / p.Iy),
+        ("Iz", max(1.0, p.c) / p.Iz),
+        ("d", 1.0 / (2.0 * p.d)),
+        ("c", 1.0 / (4.0 * p.c)),
+    ):
+        if not math.isfinite(quotient):
+            raise ParameterError(
+                name, getattr(p, name), "is too small: a model entry divided by it overflows"
+            )
     return p
 
 

@@ -17,18 +17,32 @@ offset.
 
 Feedback convention: u = r - K x, with r defaulting to the hover
 equilibrium input.
+
+Every design checks the closed loop A - B K it produced, chain block by
+chain block: the entries outside the blocks must vanish, and each block
+of at most four states must be Hurwitz (char_poly + is_hurwitz). The
+check reads the matrix, not the gain formula. check_sampled_loop applies
+the same per-block rule to the sampled loop Phi - Gamma K of a run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import char_poly, is_hurwitz
-from .models import CHAINS_3DOF, CHAINS_6DOF, build_3dof, build_6dof
+from .linalg import StateSpaceModel, char_poly, is_hurwitz
+from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, build_3dof, build_6dof
 from .params import QuadParams
 from .rotor_forces import mixer_inverse
+from .simulate import zoh_discretize
+
+# Bound on an entry of a closed loop A - B K outside the chain blocks,
+# relative to the same entry of |A| + |B| |K|, the scale of the rounding
+# that B K leaves where its products cancel. 6DOF: exactly zero, each input
+# drives one chain. 3DOF: mixer(p) @ mixer_inverse(p) cancels there.
+_OFF_BLOCK_RTOL = {6: 0.0, 3: 1e-12}
 
 
 class PolePlacementError(ValueError):
@@ -48,15 +62,22 @@ class ZeroInputGain(PolePlacementError):
 
 
 class InternalStabilityCheckFailed(RuntimeError):
-    """The synthesized closed loop failed its own Hurwitz check. Should be
-    impossible for valid inputs; treated as a defect signal, not a user
-    error."""
+    """The synthesized closed loop A - B K failed its own check: an entry
+    outside the chain blocks does not vanish, or a chain block is not
+    Hurwitz. Should be impossible for valid inputs whose gains stay finite
+    and nonzero; treated as a defect signal, not a user error."""
+
+
+class UnstableSampledLoop(RuntimeError):
+    """The sampled closed loop Phi - Gamma K of a run is not stable at its
+    step: some |z| >= 1, so the run would diverge. The poles are too fast
+    for the dt asked for; refused before the run."""
 
 
 def _validate_pole_set(name: str, poles: tuple) -> tuple[complex, ...]:
     out = tuple(complex(s) for s in poles)
     for s in out:
-        if not (np.isfinite(s.real) and np.isfinite(s.imag)):
+        if not (math.isfinite(s.real) and math.isfinite(s.imag)):
             raise PolePlacementError(f"{name} pole {s!r} is not finite")
         if s.real >= 0.0:
             raise UnstablePoleRequested(
@@ -156,7 +177,13 @@ def place_integrator_chain(chain_order: int, input_gain: float, poles) -> np.nda
             f"chain of order {chain_order} needs exactly {chain_order} poles, "
             f"got {len(poles)}"
         )
-    if input_gain == 0.0 or not np.isfinite(input_gain):
+    return _chain_row(input_gain, poles)
+
+
+def _chain_row(input_gain: float, poles: tuple[complex, ...]) -> np.ndarray:
+    """place_integrator_chain for poles already validated and counted, as
+    a PoleSpec's are."""
+    if input_gain == 0.0 or not math.isfinite(input_gain):
         raise ZeroInputGain(f"input gain must be nonzero and finite, got {input_gain!r}")
     target = poles_to_monic(poles)  # [1, a1, ..., ak]
     return target[1:][::-1] / input_gain
@@ -166,13 +193,13 @@ def design_6dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     """4x12 feedback gain for the 6DOF model, one chain per input row.
 
     The pitch->x chain carries the -g tilt coupling, so its theta entries
-    flip sign relative to the roll->y chain; the internal Hurwitz check at
-    the end would catch any regression there.
+    flip sign relative to the roll->y chain; the per-chain check of
+    A - B K at the end would catch any regression there.
     """
     model = build_6dof(p)  # validates p first
     _check_pole_counts(spec, CHAINS_6DOF, "6DOF", "chain")
     K = _chain_gains(p, spec, CHAINS_6DOF, model.n)
-    _check_closed_loop(model.A - model.B @ K)
+    _check_closed_loop(model, K, 6)
     return GainMatrix(K, model.state_labels, model.input_labels)
 
 
@@ -188,7 +215,7 @@ def design_3dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     model = build_3dof(p)  # validates p first
     _check_pole_counts(spec, CHAINS_3DOF, "3DOF", "axis")
     K = mixer_inverse(p)[:, 1:] @ _chain_gains(p, spec, CHAINS_3DOF, model.n)[1:]
-    _check_closed_loop(model.A - model.B @ K)
+    _check_closed_loop(model, K, 3)
     return GainMatrix(K, model.state_labels, model.input_labels)
 
 
@@ -207,16 +234,75 @@ def _chain_gains(p: QuadParams, spec: PoleSpec, chains, n: int) -> np.ndarray:
     for ch in chains:
         s, coupling = ch.states, ch.coupling(p)
         b = coupling / getattr(p, ch.inertia)
-        k = place_integrator_chain(len(s), b, getattr(spec, ch.name))
+        k = _chain_row(b, getattr(spec, ch.name))
         for j, kj in enumerate(k.tolist()):
             # derivative coordinates scale the chain's (angle, rate) by its coupling
             K[ch.input_row, s[j]] = kj * coupling if j >= len(s) - 2 else kj
     return K
 
 
-def _check_closed_loop(a_closed: np.ndarray) -> None:
-    if not is_hurwitz(char_poly(a_closed)):
+def _check_closed_loop(model: StateSpaceModel, K: np.ndarray, dof: int) -> None:
+    if not _chains_stable(model.A, model.B, K, dof, sampled=False):
         raise InternalStabilityCheckFailed(
             "synthesized closed loop is not Hurwitz; this indicates a defect "
             "in the chain/gain bookkeeping, not in the request"
         )
+
+
+def check_sampled_loop(model: StateSpaceModel, K, dt: float, dof: int) -> None:
+    """Raise UnstableSampledLoop unless the exact-ZOH closed loop
+    x+ = (Phi - Gamma K) x of the dof model at step dt is stable, chain
+    block by chain block under the same off-block rule as the designs."""
+    phi, gamma = zoh_discretize(model, dt)
+    if not _chains_stable(phi, gamma, np.asarray(K, dtype=float), dof, sampled=True):
+        raise UnstableSampledLoop(
+            f"the sampled closed loop Phi - Gamma K is unstable at dt={dt:g}; "
+            "use a smaller --dt or slower poles"
+        )
+
+
+def _block_layout(chains):
+    """Where a chain table puts its blocks in an n x n matrix: the mask of
+    the entries outside every block, and per block size a pair of index
+    arrays that cuts all blocks of that size out as one stack."""
+    n = sum(len(ch.states) for ch in chains)
+    outside = np.ones((n, n), dtype=bool)
+    by_size: dict[int, list] = {}
+    for ch in chains:
+        outside[np.ix_(ch.states, ch.states)] = False
+        by_size.setdefault(len(ch.states), []).append(ch.states)
+    stacks = tuple((i[:, :, None], i[:, None, :]) for i in map(np.array, by_size.values()))
+    return outside, stacks
+
+
+_LAYOUT = {dof: _block_layout(chains) for dof, chains in CHAINS.items()}
+
+
+def _chains_stable(a: np.ndarray, b: np.ndarray, K: np.ndarray, dof: int, sampled: bool) -> bool:
+    """True iff every entry of a - b K outside the blocks of the dof chain
+    table is at most _OFF_BLOCK_RTOL[dof] times that entry of
+    |a| + |b| |K|, and every chain block of a - b K is stable.
+
+    Continuous blocks must be Hurwitz. A sampled block F must have every
+    eigenvalue strictly inside the unit circle; the bilinear map
+    W = (F - I)(F + I)^-1 takes those to the open left half-plane, so W
+    must be Hurwitz, and a singular F + I (an eigenvalue at -1) fails.
+    Blocks of equal size go through char_poly as one stack.
+    """
+    closed = a - b @ K
+    outside, stacks = _LAYOUT[dof]
+    scale = np.abs(a[outside]) + (np.abs(b) @ np.abs(K))[outside]
+    if not np.all(np.abs(closed[outside]) <= _OFF_BLOCK_RTOL[dof] * scale):
+        return False
+    for rows, cols in stacks:
+        stack = closed[rows, cols]
+        if sampled:
+            eye = np.eye(stack.shape[-1])
+            try:  # F - I and (F + I)^-1 commute
+                stack = np.linalg.solve(stack + eye, stack - eye)
+            except np.linalg.LinAlgError:
+                return False
+        polys = char_poly(stack)
+        if not (np.isfinite(polys).all() and all(map(is_hurwitz, polys))):
+            return False
+    return True

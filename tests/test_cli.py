@@ -289,18 +289,61 @@ def test_bad_dt_is_exit_2(capsys, params_file, tmp_path):
 
 
 def test_failed_stability_check_is_exit_4(capsys, params_file, tmp_path):
-    # valid spread poles that the closed-loop check still refuses (its 12th-
-    # degree characteristic polynomial loses the smallest coefficients)
+    # poles at -300 are Hurwitz, but sampled every 10 ms the loop
+    # Phi - Gamma K has |z| > 1 and the run would reach z = 3.6e92 by t = 1 s
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--mode", "closed", "--poles=-300", "--dt", "0.01",
+                         "--t-final", "1", "--x0", "z=0.5", "--out", str(out_path))
+    assert code == 4 and out == ""
+    assert err == ("quadmodel: simulation refused: the sampled closed loop Phi - Gamma K "
+                   "is unstable at dt=0.01; use a smaller --dt or slower poles\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("dof,x0", [(6, "z=0.5"), (3, "phi=0.5")])
+def test_sampled_loop_refusal_writes_no_gains(capsys, params_file, tmp_path, dof, x0):
+    gains_path = tmp_path / "gains.json"
+    code, out, err = run(capsys, "sim", "--dof", str(dof), "--params", params_file,
+                         "--mode", "closed", "--poles=-300", "--dt", "0.01",
+                         "--t-final", "1", "--x0", x0, "--out", str(tmp_path / "x.csv"),
+                         "--gains-out", str(gains_path))
+    assert code == 4 and out == "" and len(err.strip().split("\n")) == 1
+    assert not gains_path.exists()
+    # the same poles at a 1 ms step are sampled-stable and run
+    code, out, err = run(capsys, "sim", "--dof", str(dof), "--params", params_file,
+                         "--mode", "closed", "--poles=-300", "--dt", "0.001",
+                         "--t-final", "1", "--x0", x0, "--out", str(tmp_path / "x.csv"))
+    assert code == 0 and err == ""
+
+
+def test_spread_poles_are_designed_and_run(capsys, params_file, tmp_path):
+    # the dense 12th-degree check refused these valid poles; per chain they pass
     out_path = tmp_path / "x.csv"
     code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
                          "--mode", "closed", "--x0", "z=0.5",
                          "--poles", "z=-0.05,-100", "--poles", "roll=-0.05,-1,-2,-100",
                          "--poles", "pitch=-0.05,-1,-2,-100", "--poles", "yaw=-0.05,-100",
                          "--t-final", "1", "--out", str(out_path))
-    assert code == 4 and out == ""
-    assert err == ("quadmodel: gain design failed: synthesized closed loop is not Hurwitz; "
-                   "this indicates a defect in the chain/gain bookkeeping, not in the request\n")
-    assert not out_path.exists()
+    assert code == 0 and out == "" and err == ""
+    _, rows = read_csv(out_path)
+    assert rows.shape == (1001, 17) and np.all(np.isfinite(rows))
+    # the slow z pole holds z near its start; the fast one kills vz's transient
+    assert 0.4 < rows[-1, 3] < 0.5
+
+
+@pytest.mark.parametrize("command", ["model", "analyze", "sim"])
+def test_parameters_whose_model_entries_overflow_are_exit_3(capsys, tmp_path, command):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"m": 1, "d": 0.25, "c": 0.01,
+                                "Ix": 1e-310, "Iy": 0.01, "Iz": 0.02}))
+    argv = [command, "--dof", "6", "--params", str(path)]
+    if command == "sim":
+        argv += ["--t-final", "1", "--out", str(tmp_path / "x.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == ("quadmodel: invalid parameters: parameter Ix is too small: a model "
+                   "entry divided by it overflows (got 1e-310)\n")
 
 
 @pytest.mark.parametrize("dof,message", [

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from quadmodel import (
     DimensionMismatch,
     NotNilpotent,
     NotSquare,
     StateSpaceModel,
+    build_3dof,
+    build_6dof,
     char_poly,
+    controllability_matrix,
     expm_nilpotent,
     is_hurwitz,
     nilpotency_index,
+    observability_matrix,
+    poles_to_monic,
     rank,
 )
-from util import assert_close
+from util import assert_close, quad_params
 
 SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -51,6 +57,81 @@ def test_rank_wide_and_tall():
     m = rng.normal(size=(3, 8))
     assert rank(m) == 3
     assert rank(m.T) == 3
+
+
+def reference_rank(a, rel_tol=1e-9):
+    """The numpy row reduction rank used before the scalar elimination:
+    whole-row updates, zeros included."""
+    m = np.array(a, dtype=float)
+    if m.size == 0:
+        return 0
+    thresh = rel_tol * max(1.0, float(np.max(np.abs(m))))
+    rows, cols = m.shape
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        piv = r + int(np.argmax(np.abs(m[r:, col])))
+        if abs(m[piv, col]) <= thresh:
+            continue
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        factors = m[r + 1 :, col] / m[r, col]
+        m[r + 1 :, col:] -= np.outer(factors, m[r, col:])
+        r += 1
+    return r
+
+
+# exact ties, signed zeros and near-threshold entries, mixed with any float
+rank_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e-9, -1e-9, 1e-12]),
+    st.floats(-1e3, 1e3),
+)
+rank_tols = st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.5])
+
+
+@settings(max_examples=300)
+@given(a=arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=12), elements=rank_entries),
+       rel_tol=rank_tols)
+def test_rank_matches_reference_elimination(a, rel_tol):
+    assert rank(a, rel_tol) == reference_rank(a, rel_tol)
+
+
+def factor_pairs(k):
+    return st.tuples(
+        arrays(float, st.tuples(st.integers(1, 10), st.just(k)), elements=rank_entries),
+        arrays(float, st.tuples(st.just(k), st.integers(1, 10)), elements=rank_entries),
+    )
+
+
+@settings(max_examples=200)
+@given(factors=st.integers(1, 4).flatmap(factor_pairs), rel_tol=rank_tols)
+def test_rank_of_products_matches_reference(factors, rel_tol):
+    u, v = factors
+    a = u @ v  # rank-deficient whenever the inner size is the smaller
+    assert rank(a, rel_tol) == reference_rank(a, rel_tol)
+    assert rank(a.T, rel_tol) == reference_rank(a.T, rel_tol)
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=quad_params, rel_tol=rank_tols)
+def test_rank_of_kalman_matrices_matches_reference(p, rel_tol):
+    for model in (build_6dof(p), build_3dof(p)):
+        for a in (controllability_matrix(model), observability_matrix(model)):
+            assert rank(a, rel_tol) == reference_rank(a, rel_tol)
+
+
+def test_rank_breaks_pivot_ties_on_the_first_row():
+    # rows 1 and 2 tie in column 0 with row 0; at a tolerance near the
+    # rounding the first-maximum pivot leaves rank 2, the last one 3
+    a = [[-1.0, -1.0, 0.0], [1.0, 0.1, 1.0], [1.0, 0.1, 1.0], [0.1, 1.0, -1.0]]
+    assert rank(a, 2e-16) == reference_rank(a, 2e-16) == 2
+
+
+def test_rank_rejects_non_finite_matrix():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            rank([[1.0, bad], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------- nilpotency
@@ -154,6 +235,16 @@ def test_char_poly_of_block_diagonal_is_product():
         assert_close(char_poly(block), product, rel=1e-10)
 
 
+def test_char_poly_of_a_stack_is_per_block():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 4):
+        stack = rng.normal(size=(3, n, n))
+        polys = char_poly(stack)
+        assert polys.shape == (3, n + 1)
+        for block, poly in zip(stack, polys):
+            assert np.array_equal(poly, char_poly(block))
+
+
 def test_char_poly_size_guard():
     with pytest.raises(NotSquare):
         char_poly(np.eye(17))
@@ -186,6 +277,61 @@ def test_is_hurwitz_rejects_degenerate_input():
         is_hurwitz([1.0])
     with pytest.raises(ValueError):
         is_hurwitz([0.0, 1.0])
+
+
+def reference_is_hurwitz(coeffs) -> bool:
+    """The Routh array that substituted 1e-30 for a zero pivot and ran to
+    the last row before it judged the first column."""
+    c = np.asarray(coeffs, dtype=float).ravel()
+    c = c / c[0]
+    n = c.size - 1
+    width = n // 2 + 1
+    table = np.zeros((n + 1, width + 1))
+    table[0, : len(c[0::2])] = c[0::2]
+    table[1, : len(c[1::2])] = c[1::2]
+    first_column = [1.0, float(c[1])]
+    with np.errstate(all="ignore"):
+        for i in range(2, n + 1):
+            prev, prev2 = table[i - 1], table[i - 2]
+            if not np.any(prev != 0.0):
+                return False
+            pivot = prev[0] if prev[0] != 0.0 else 1e-30
+            table[i, :width] = (
+                pivot * prev2[1 : width + 1] - prev2[0] * prev[1 : width + 1]
+            ) / pivot
+            first_column.append(float(table[i, 0]))
+    return all(v > 0.0 for v in first_column)
+
+
+# zero coefficients often, so that zero pivots and zero rows come up
+routh_coeff = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0]), st.floats(-10, 10))
+
+
+@settings(max_examples=300)
+@given(head=st.floats(0.1, 10) | st.floats(-10, -0.1),
+       tail=st.lists(routh_coeff, min_size=1, max_size=12))
+def test_is_hurwitz_matches_reference_routh(head, tail):
+    assert is_hurwitz([head] + tail) == reference_is_hurwitz([head] + tail)
+
+
+@settings(max_examples=300)
+@given(roots=st.lists(st.tuples(st.floats(0.1, 5) | st.floats(-5, -0.1), st.floats(0, 5)),
+                      min_size=1, max_size=6))
+def test_is_hurwitz_decides_known_roots(roots):
+    # real roots and conjugate pairs, degree 1 to 12, every real part at
+    # least 0.1 away from the axis
+    poles = []
+    for re, im in roots:
+        poles += [complex(re, im), complex(re, -im)] if im > 0.0 else [complex(re, 0.0)]
+    assert is_hurwitz(poles_to_monic(poles)) == all(s.real < 0.0 for s in poles)
+
+
+def test_is_hurwitz_zero_coefficients():
+    for n in range(1, 13):
+        assert is_hurwitz([1.0] + [0.0] * n) is False      # every root at 0
+        assert is_hurwitz([1.0] + [1.0] * (n - 1) + [0.0]) is False  # a root at 0
+    assert is_hurwitz([1.0, 0.0, 1.0]) is False               # roots +-i
+    assert is_hurwitz([1.0, 2.0, 0.0, 1.0]) is False          # missing middle term
 
 
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +8,13 @@ from hypothesis import strategies as st
 from quadmodel import (
     NonFiniteParameter,
     NonPositiveParameter,
+    ParameterError,
     QuadParams,
+    build_3dof,
+    build_6dof,
+    controllability_matrix,
     hover_thrust_per_rotor,
+    mixer_inverse,
     validate,
 )
 
@@ -45,6 +51,38 @@ def test_non_finite_rejected(params, bad):
     with pytest.raises(NonFiniteParameter) as excinfo:
         validate(_with(params, Iy=bad))
     assert excinfo.value.name == "Iy"
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"m": 1e-310}, "m"),
+    ({"Ix": 1e-310}, "Ix"),
+    ({"Ix": 1e-300, "d": 1e10}, "Ix"),   # d/Ix overflows, 1/Ix does not
+    ({"Iy": 1e-300, "g": 1e10}, "Iy"),   # g/Iy overflows, 1/Iy does not
+    ({"Iz": 1e-300, "c": 1e10}, "Iz"),
+    ({"d": 1e-309}, "d"),                # 1/(2d) in the inverse mixer
+    ({"c": 1e-309}, "c"),                # 1/(4c)
+])
+def test_overflowing_model_entries_rejected_naming_field(params, overrides, field):
+    with pytest.raises(ParameterError) as excinfo:
+        validate(_with(params, **overrides))
+    assert excinfo.value.name == field
+    assert str(excinfo.value).startswith(f"parameter {field} is too small")
+
+
+magnitude = st.floats(-310.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+@given(m=magnitude, d=magnitude, c=magnitude, Ix=magnitude, Iy=magnitude, Iz=magnitude,
+       g=magnitude)
+def test_accepted_parameters_give_finite_models(m, d, c, Ix, Iy, Iz, g):
+    p = QuadParams(m=m, d=d, c=c, Ix=Ix, Iy=Iy, Iz=Iz, g=g)
+    try:
+        validate(p)
+    except ParameterError:
+        return
+    for model in (build_6dof(p), build_3dof(p)):
+        assert np.all(np.isfinite(controllability_matrix(model)))
+    assert np.all(np.isfinite(mixer_inverse(p)))
 
 
 def test_validate_idempotent(params):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadmodel import (
@@ -14,20 +15,39 @@ from quadmodel import (
     QuadParams,
     SimConfig,
     UnstablePoleRequested,
+    UnstableSampledLoop,
     ZeroInputGain,
     build_3dof,
     build_6dof,
     char_poly,
+    check_sampled_loop,
     design_3dof_gains,
     design_6dof_gains,
     is_hurwitz,
     place_integrator_chain,
     poles_to_monic,
     simulate,
+    zoh_discretize,
 )
-from util import assert_close
+from quadmodel.stabilize import _chains_stable
+from util import assert_close, quad_params
 
 negative_pole = st.floats(min_value=-5.0, max_value=-0.5)
+
+
+def wide_chain(size, low=-2.0):
+    """size poles, magnitudes log-uniform from 10^low to 1e3 (1e-2..1e3
+    is wider than design_sweep's 0.1..100), at least 0.1 % apart.
+    design_sweep's oracle widens its tolerance for closer poles, to
+    10 * eps^(1/m) of a pole repeated m times, but an exact repeat five
+    decades below another pole of its chain is split further than that by
+    the rounding of the gains themselves: up to 12 times, by the exact
+    eigenvalues of the float64 loop over 3,000 draws. Repeated poles are
+    covered at desk scale by the chain-product tests."""
+    exponents = st.lists(st.floats(min_value=low, max_value=3.0), min_size=size, max_size=size)
+    return exponents.filter(
+        lambda e: all(abs(a - b) >= 5e-4 for i, a in enumerate(e) for b in e[:i])
+    ).map(lambda e: tuple(-(10.0 ** x) for x in e))
 
 P = QuadParams(m=1.0, d=0.25, c=0.01, Ix=0.01, Iy=0.01, Iz=0.02, g=9.81)
 
@@ -132,6 +152,124 @@ def test_6dof_placement_matches_chain_products(spec):
         target = np.convolve(target, poles_to_monic(chain))
     np.testing.assert_allclose(achieved, target, rtol=1e-8, atol=1e-10)
     assert is_hurwitz(achieved)
+
+
+def spectrum_matches(block, requested) -> bool:
+    """numpy's eigenvalues of block equal the requested multiset, each
+    within 1e-7 of its pole's magnitude: design_sweep's spectrum oracle,
+    whose tolerance widens only for poles less than 0.1 % apart."""
+    requested = np.asarray(requested, dtype=complex)
+    eig = np.linalg.eigvals(block)
+    cost = np.abs(eig[:, None] - requested[None, :]) / (1e-7 * np.abs(requested))[None, :]
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return bool(np.all(cost[rows, cols] <= 1.0))
+
+
+def assert_chain_spectra(m, K, blocks, poles, off_rtol):
+    """A - B K is block diagonal after permutation: outside the blocks its
+    entries are at most off_rtol times those of |A| + |B| |K|, the scale
+    of the rounding that cancelling products leave. Each chain block has
+    its requested poles. numpy's eigenvalues of the whole 12x12 are less
+    accurate than the tolerance for poles five decades apart, so the
+    spectrum is taken per block, which is exact for a block-diagonal
+    matrix."""
+    a_closed = m.A - m.B @ K
+    scale = np.abs(m.A) + np.abs(m.B) @ np.abs(K)
+    outside = np.ones(a_closed.shape, dtype=bool)
+    for s in blocks:
+        outside[np.ix_(s, s)] = False
+    assert np.all(np.abs(a_closed[outside]) <= off_rtol * scale[outside])
+    for s, chain in zip(blocks, poles):
+        assert spectrum_matches(a_closed[np.ix_(s, s)], chain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=quad_params, chains=st.tuples(wide_chain(2), wide_chain(4), wide_chain(4), wide_chain(2)))
+def test_6dof_design_hits_wide_pole_sets(p, chains):
+    spec = PoleSpec(z=chains[0], roll=chains[1], pitch=chains[2], yaw=chains[3])
+    m = build_6dof(p)
+    gains = design_6dof_gains(p, spec)
+    blocks = ((2, 5), (1, 4, 6, 9), (0, 3, 7, 10), (8, 11))
+    assert_chain_spectra(m, gains.K, blocks, chains, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=quad_params, chains=st.tuples(wide_chain(2), wide_chain(2), wide_chain(2)))
+def test_3dof_design_hits_wide_pole_sets(p, chains):
+    spec = PoleSpec(roll=chains[0], pitch=chains[1], yaw=chains[2])
+    m = build_3dof(p)
+    gains = design_3dof_gains(p, spec)
+    assert_chain_spectra(m, gains.K, ((0, 3), (1, 4), (2, 5)), chains, 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=quad_params,
+       chains=st.tuples(wide_chain(2, 0.0), wide_chain(4, 0.0), wide_chain(4, 0.0),
+                        wide_chain(2, 0.0)),
+       dt=st.floats(-4.0, -2.0).map(lambda e: 10.0 ** e), dof=st.sampled_from([6, 3]))
+def test_sampled_loop_check_agrees_with_the_spectral_radius(p, chains, dt, dof):
+    # poles of 1..1000 rad/s keep most loops 1e-3 or more from the unit
+    # circle at these steps, on either side of it
+    if dof == 6:
+        spec = PoleSpec(z=chains[0], roll=chains[1], pitch=chains[2], yaw=chains[3])
+        m, gains = build_6dof(p), design_6dof_gains(p, spec)
+    else:
+        # two poles per 3DOF chain
+        spec = PoleSpec(roll=chains[0], pitch=chains[3], yaw=chains[1][:2])
+        m, gains = build_3dof(p), design_3dof_gains(p, spec)
+    phi, gamma = zoh_discretize(m, dt)
+    radius = np.max(np.abs(np.linalg.eigvals(phi - gamma @ gains.K)))
+    assume(abs(radius - 1.0) > 1e-3)  # numpy's radius decides only away from the circle
+    try:
+        check_sampled_loop(m, gains.K, dt, dof)
+        stable = True
+    except UnstableSampledLoop:
+        stable = False
+    assert stable == (radius < 1.0)
+
+
+def test_sampled_loop_check_at_the_cli_repro(params):
+    m = build_6dof(params)
+    gains = design_6dof_gains(params, PoleSpec.uniform_6dof(-300.0))
+    with pytest.raises(UnstableSampledLoop, match=r"unstable at dt=0\.01;"):
+        check_sampled_loop(m, gains.K, 0.01, 6)
+    check_sampled_loop(m, gains.K, 0.001, 6)
+    # slow poles at a fine step sit just inside the unit circle
+    gains = design_6dof_gains(params, PoleSpec.uniform_6dof(-0.01))
+    check_sampled_loop(m, gains.K, 1e-4, 6)
+
+
+def test_sampled_block_with_an_eigenvalue_at_minus_one_fails():
+    # F + I is singular: |z| = 1 is not strictly inside the unit circle
+    b, K = np.zeros((12, 4)), np.zeros((4, 12))
+    assert _chains_stable(-np.eye(12), b, K, 6, sampled=True) is False
+    assert _chains_stable(0.5 * np.eye(12), b, K, 6, sampled=True) is True
+
+
+def test_closed_loop_entries_outside_the_chain_blocks_must_vanish():
+    a, b, K = -np.eye(12), np.zeros((12, 4)), np.zeros((4, 12))
+    assert _chains_stable(a, b, K, 6, sampled=False) is True
+    a[2, 0] = 1e-300  # z row, x column: a different chain
+    assert _chains_stable(a, b, K, 6, sampled=False) is False
+    # 3DOF allows the rounding of cancelling products, measured against
+    # them: here (b K)[0, 1] = 1 + (delta - 1) against |b| |K| = 2
+    a, b, K = -np.eye(6), np.zeros((6, 4)), np.zeros((4, 6))
+    b[0, :2] = 1.0
+    for delta, stable in ((1e-13, True), (1e-11, False)):
+        K[:2, 1] = (1.0, delta - 1.0)
+        assert _chains_stable(a, b, K, 3, sampled=False) is stable
+
+
+def test_3dof_design_keeps_cancelling_mixer_products_apart():
+    # d/Iy is small and c/Iz large: the yaw row of B K cancels products of
+    # 1.2e5 down to 1.2e-11, which is 1.1e-12 of max|A - B K| = 11 but
+    # 1e-16 of the products: rounding, not a coupling between chains
+    p = QuadParams(m=1.0, d=0.0625, c=4.845750806847613, Ix=1.0, Iy=20.0, Iz=0.0625, g=1.0)
+    spec = PoleSpec(roll=(-1.0, -10.0), pitch=(-1.0, -10.0), yaw=(-1.0, -10.0))
+    m = build_3dof(p)
+    gains = design_3dof_gains(p, spec)
+    assert_chain_spectra(m, gains.K, ((0, 3), (1, 4), (2, 5)), (spec.roll, spec.pitch, spec.yaw),
+                         1e-12)
 
 
 def test_6dof_pole_count_mismatch(params):
