@@ -12,21 +12,19 @@ Usage: python scripts/closed_loop_demo.py [--params FILE] [--pole -2.0]
 """
 
 import argparse
-import json
 
 import numpy as np
 
 from quadmodel import (
+    ParameterError,
     PoleSpec,
-    QuadParams,
     SimConfig,
     analyze,
     build_6dof,
     design_6dof_gains,
     simulate_feedback,
-    validate,
 )
-from quadmodel.cli import write_trajectory_csv
+from quadmodel.cli import InputError, load_params, write_trajectory_csv
 
 
 def main():
@@ -38,8 +36,10 @@ def main():
     ap.add_argument("--out", help="optional trajectory CSV")
     args = ap.parse_args()
 
-    with open(args.params, "r", encoding="utf-8") as fh:
-        p = validate(QuadParams(**json.load(fh)))
+    try:
+        p = load_params(args.params)
+    except (InputError, ParameterError) as e:
+        ap.error(str(e))
     model = build_6dof(p)
 
     report = analyze(model)

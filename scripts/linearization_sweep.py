@@ -9,28 +9,22 @@ Usage: python scripts/linearization_sweep.py [--params FILE] [--out FILE.csv]
 """
 
 import argparse
-import json
 import math
 
 import numpy as np
 
 from quadmodel import (
-    QuadParams,
+    ParameterError,
     RotorForces,
     SimConfig,
     build_6dof,
     hover_thrust_per_rotor,
     simulate_feedback,
     simulate_nonlinear,
-    validate,
 )
+from quadmodel.cli import InputError, load_params
 
 ANGLES = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-
-
-def load_params(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate(QuadParams(**json.load(fh)))
 
 
 def run(p, theta0, dt=1e-4, t_final=1.0):
@@ -51,7 +45,10 @@ def main():
     ap.add_argument("--params", default="params.example.json")
     ap.add_argument("--out", help="optional CSV of the sweep results")
     args = ap.parse_args()
-    p = load_params(args.params)
+    try:
+        p = load_params(args.params)
+    except (InputError, ParameterError) as e:
+        ap.error(str(e))
 
     rows = []
     print(f"{'theta0 [rad]':>12}  {'x_lin(1s) [m]':>14}  {'x_nl(1s) [m]':>14}  "

@@ -4,10 +4,11 @@ inputs.
 
 Exit codes are fixed for scriptability:
     0  success
-    2  input problem (missing/garbled file, bad flag combination, bad spec)
+    2  input problem (missing/garbled file, bad flag combination, bad spec,
+       poles too extreme for float64)
     3  physical parameter validation failure
-    4  runtime failure: a simulation left the finite floats, a linear
-       closed-loop run whose sampled loop Phi - Gamma K is unstable at
+    4  runtime failure: a simulation left the finite floats, a closed-loop
+       run on either plant whose sampled loop Phi - Gamma K is unstable at
        its dt (refused before it runs), or a designed closed loop that
        failed its own stability check
 
@@ -19,12 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
 from .analysis import analyze
 from .linalg import StateSpaceModel
-from .models import CHAINS, DOF6_STATE_LABELS, ROTOR_FORCE_LABELS, build_3dof, build_6dof
+from .models import CHAINS, ROTOR_FORCE_LABELS, build_3dof, build_6dof
 from .params import ParameterError, QuadParams, hover_thrust_per_rotor, validate
 from .rotor_forces import GeneralizedInput, RotorForces, demix, mix
 from .simulate import (
@@ -51,8 +53,8 @@ EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
-PARAM_KEYS = ("m", "d", "c", "Ix", "Iy", "Iz")
-OPTIONAL_PARAM_KEYS = ("g",)
+PARAM_KEYS = tuple(f.name for f in fields(QuadParams) if f.default is MISSING)
+OPTIONAL_PARAM_KEYS = tuple(f.name for f in fields(QuadParams) if f.default is not MISSING)
 
 DEFAULT_POLE = -2.0
 
@@ -243,17 +245,7 @@ def cmd_model(args) -> int:
 def cmd_analyze(args) -> int:
     p = load_params(args.params)
     model = build_3dof(p) if args.dof == 3 else build_6dof(p)
-    report = analyze(model)
-    doc = {
-        "controllability_rank": report.controllability_rank,
-        "observability_rank": report.observability_rank,
-        "is_controllable": report.is_controllable,
-        "is_observable": report.is_observable,
-        "open_loop_char_poly": list(report.open_loop_char_poly),
-        "stability_class": report.stability_class,
-        "nilpotency_index": report.nilpotency_index,
-    }
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(asdict(analyze(model)), indent=2))
     return EXIT_OK
 
 
@@ -283,9 +275,8 @@ def cmd_sim(args) -> int:
         raise InputError("--input only applies to --mode open (closed mode drives u = r - K x)")
 
     model = build_3dof(p) if args.dof == 3 else build_6dof(p)
-    state_labels = DOF6_STATE_LABELS if nonlinear else model.state_labels
     input_labels = ROTOR_FORCE_LABELS if nonlinear else model.input_labels
-    x0 = parse_assignments(args.x0, state_labels, "state")
+    x0 = parse_assignments(args.x0, model.state_labels, "state")
 
     plant_name = "nonlinear_6dof" if nonlinear else f"linear_{args.dof}dof"
     try:
@@ -304,25 +295,23 @@ def cmd_sim(args) -> int:
         try:
             spec = parse_pole_spec(args.poles, args.dof)
             gains = design_6dof_gains(p, spec) if args.dof == 6 else design_3dof_gains(p, spec)
+            check_sampled_loop(model, gains.K, cfg.dt)
         except PolePlacementError as e:
             raise InputError(str(e)) from e
-        if not nonlinear:
-            check_sampled_loop(model, gains.K, cfg.dt, args.dof)
         if args.gains_out:
             _write_gains(gains, args.gains_out)
 
     if nonlinear:
         if args.mode == "open":
             base = parse_assignments(args.input, input_labels, "input", defaults=[hover] * 4)
+            held = RotorForces(*base)
 
             def forces_fn(t, x):
-                return RotorForces(*base)
+                return held
 
         else:
-            k_matrix = gains.K
-
             def forces_fn(t, x):
-                u = -k_matrix @ x
+                u = gains.feedback_input(x)
                 if not np.all(np.isfinite(u)):
                     raise NonFiniteState("feedback input became non-finite")
                 return demix(GeneralizedInput(*u), p)

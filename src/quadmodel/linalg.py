@@ -19,9 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Faddeev-LeVerrier is O(n^4) and numerically adequate only at desk scale.
-MAX_CHARPOLY_DIM = 16
-
 
 class DimensionMismatch(ValueError):
     """Operand shapes are incompatible."""
@@ -160,10 +157,6 @@ def char_poly(a) -> np.ndarray:
     n = m.shape[-1]
     if m.shape[-2] != n:
         raise NotSquare(f"expected square matrices, got shape {m.shape}")
-    if n > MAX_CHARPOLY_DIM:
-        raise NotSquare(
-            f"char_poly supports n <= {MAX_CHARPOLY_DIM}, got n={n}"
-        )
     coeffs = np.empty(m.shape[:-2] + (n + 1,))
     coeffs[..., 0] = 1.0
     eye = np.eye(n)
@@ -181,32 +174,39 @@ def is_hurwitz(coeffs) -> bool:
     negative real part, decided by the Routh array.
 
     ``coeffs`` are highest-degree first, finite, leading coefficient
-    nonzero (normalized away internally). Strict stability holds iff
-    every first-column entry of the Routh array is positive, so the table
-    stops at the first entry that is not: a zero there (including a whole
-    zero row, roots placed symmetrically about the origin) already rules
-    strict stability out, and no epsilon substitute is needed.
+    nonzero. Strict stability holds iff every first-column entry of the
+    Routh array is positive, so the table stops at the first entry that is
+    not: a zero there (including a whole zero row, roots placed
+    symmetrically about the origin) already rules strict stability out,
+    and no epsilon substitute is needed.
+    The table is exact: one power of two turns the float coefficients into
+    integers, and a row is not divided by its pivot, a positive factor
+    that keeps the signs. No entry rounds, underflows or overflows, at any
+    scale of the roots.
     """
     c = np.asarray(coeffs, dtype=float).ravel().tolist()
     if len(c) < 2:
         raise ValueError("polynomial degree must be >= 1")
     if c[0] == 0.0 or not all(map(math.isfinite, c)):
         raise ValueError("leading coefficient must be nonzero and finite")
-    lead = c[0]
-    c = [v / lead for v in c]  # roots are unchanged under scaling
+    parts = [math.frexp(v) for v in c]  # v = m 2^e, and m 2^53 is an integer
+    low = min(e for _, e in parts)
+    c = [int(m * 2.0**53) << (e - low) for m, e in parts]
+    if c[0] < 0:
+        c = [-v for v in c]  # roots are unchanged under scaling
     n = len(c) - 1
     width = n // 2 + 1
     # two rows of the table, each padded to width + 1 with zeros
-    prev2 = c[0::2] + [0.0] * (width + 1 - len(c[0::2]))
-    prev = c[1::2] + [0.0] * (width + 1 - len(c[1::2]))
+    prev2 = c[0::2] + [0] * (width + 1 - len(c[0::2]))
+    prev = c[1::2] + [0] * (width + 1 - len(c[1::2]))
     for _ in range(2, n + 1):
         pivot = prev[0]
-        if not pivot > 0.0:
+        if not pivot > 0:
             return False
         top = prev2[0]
-        row = [(pivot * prev2[j + 1] - top * prev[j + 1]) / pivot for j in range(width)]
-        prev2, prev = prev, row + [0.0]
-    return prev[0] > 0.0
+        row = [pivot * prev2[j + 1] - top * prev[j + 1] for j in range(width)]
+        prev2, prev = prev, row + [0]
+    return prev[0] > 0
 
 
 @dataclass(frozen=True)

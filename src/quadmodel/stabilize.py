@@ -21,8 +21,14 @@ equilibrium input.
 Every design checks the closed loop A - B K it produced, chain block by
 chain block: the entries outside the blocks must vanish, and each block
 of at most four states must be Hurwitz (char_poly + is_hurwitz). The
-check reads the matrix, not the gain formula. check_sampled_loop applies
-the same per-block rule to the sampled loop Phi - Gamma K of a run.
+check reads the matrix, and its chain table from the matrix's state
+count. check_sampled_loop applies the same rule to the sampled loop
+Phi - Gamma K of a run on either plant: RK4 with held forces is exact on
+the nilpotent A, so Phi - Gamma K is the nonlinear step's Jacobian at
+hover. A request whose gains are not normal float64 numbers (true gains
+of left-half-plane poles are finite and nonzero), or whose check
+overflows, is refused as a PolePlacementError, not reported as a defect;
+a sampled loop that leaves float64 is unstable at its dt.
 """
 
 from __future__ import annotations
@@ -33,20 +39,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import StateSpaceModel, char_poly, is_hurwitz
-from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, build_3dof, build_6dof
+from .models import CHAINS_3DOF, CHAINS_6DOF, build_3dof, build_6dof
 from .params import QuadParams
 from .rotor_forces import mixer_inverse
 from .simulate import zoh_discretize
 
-# Bound on an entry of a closed loop A - B K outside the chain blocks,
-# relative to the same entry of |A| + |B| |K|, the scale of the rounding
-# that B K leaves where its products cancel. 6DOF: exactly zero, each input
-# drives one chain. 3DOF: mixer(p) @ mixer_inverse(p) cancels there.
-_OFF_BLOCK_RTOL = {6: 0.0, 3: 1e-12}
+_NORMAL_MIN = np.finfo(float).tiny
+_OUT_OF_RANGE = ("the requested poles are too extreme for float64: a gain or a "
+                 "closed-loop check coefficient overflows or underflows")
 
 
 class PolePlacementError(ValueError):
-    """Requested placement is malformed."""
+    """Requested placement is malformed, or too extreme for float64."""
 
 
 class UnstablePoleRequested(PolePlacementError):
@@ -189,6 +193,7 @@ def _chain_row(input_gain: float, poles: tuple[complex, ...]) -> np.ndarray:
     return target[1:][::-1] / input_gain
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused, not warned of
 def design_6dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     """4x12 feedback gain for the 6DOF model, one chain per input row.
 
@@ -199,10 +204,11 @@ def design_6dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     model = build_6dof(p)  # validates p first
     _check_pole_counts(spec, CHAINS_6DOF, "6DOF", "chain")
     K = _chain_gains(p, spec, CHAINS_6DOF, model.n)
-    _check_closed_loop(model, K, 6)
+    _check_closed_loop(model, K)
     return GainMatrix(K, model.state_labels, model.input_labels)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def design_3dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     """4x6 feedback gain for the 3DOF model, in rotor-force input space.
 
@@ -215,7 +221,7 @@ def design_3dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     model = build_3dof(p)  # validates p first
     _check_pole_counts(spec, CHAINS_3DOF, "3DOF", "axis")
     K = mixer_inverse(p)[:, 1:] @ _chain_gains(p, spec, CHAINS_3DOF, model.n)[1:]
-    _check_closed_loop(model, K, 3)
+    _check_closed_loop(model, K)
     return GainMatrix(K, model.state_labels, model.input_labels)
 
 
@@ -237,24 +243,28 @@ def _chain_gains(p: QuadParams, spec: PoleSpec, chains, n: int) -> np.ndarray:
         k = _chain_row(b, getattr(spec, ch.name))
         for j, kj in enumerate(k.tolist()):
             # derivative coordinates scale the chain's (angle, rate) by its coupling
-            K[ch.input_row, s[j]] = kj * coupling if j >= len(s) - 2 else kj
+            kj = kj * coupling if j >= len(s) - 2 else kj
+            if not _NORMAL_MIN <= abs(kj) < math.inf:
+                raise PolePlacementError(_OUT_OF_RANGE)
+            K[ch.input_row, s[j]] = kj
     return K
 
 
-def _check_closed_loop(model: StateSpaceModel, K: np.ndarray, dof: int) -> None:
-    if not _chains_stable(model.A, model.B, K, dof, sampled=False):
+def _check_closed_loop(model: StateSpaceModel, K: np.ndarray) -> None:
+    if not _chains_stable(model.A, model.B, K, sampled=False):
         raise InternalStabilityCheckFailed(
             "synthesized closed loop is not Hurwitz; this indicates a defect "
             "in the chain/gain bookkeeping, not in the request"
         )
 
 
-def check_sampled_loop(model: StateSpaceModel, K, dt: float, dof: int) -> None:
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loop is unstable
+def check_sampled_loop(model: StateSpaceModel, K, dt: float) -> None:
     """Raise UnstableSampledLoop unless the exact-ZOH closed loop
-    x+ = (Phi - Gamma K) x of the dof model at step dt is stable, chain
-    block by chain block under the same off-block rule as the designs."""
+    x+ = (Phi - Gamma K) x of the model at step dt is stable, chain block
+    by chain block under the same off-block rule as the designs."""
     phi, gamma = zoh_discretize(model, dt)
-    if not _chains_stable(phi, gamma, np.asarray(K, dtype=float), dof, sampled=True):
+    if not _chains_stable(phi, gamma, np.asarray(K, dtype=float), sampled=True):
         raise UnstableSampledLoop(
             f"the sampled closed loop Phi - Gamma K is unstable at dt={dt:g}; "
             "use a smaller --dt or slower poles"
@@ -275,34 +285,55 @@ def _block_layout(chains):
     return outside, stacks
 
 
-_LAYOUT = {dof: _block_layout(chains) for dof, chains in CHAINS.items()}
+# Keyed by state count: the block layout and the bound on an entry outside
+# the chain blocks, relative to the same entry of |A| + |B| |K|, the scale
+# of the rounding that B K leaves where its products cancel. 6DOF: exactly
+# zero, each input drives one chain. 3DOF: mixer(p) @ mixer_inverse(p)
+# cancels there.
+_LAYOUTS = {
+    12: (*_block_layout(CHAINS_6DOF), 0.0),
+    6: (*_block_layout(CHAINS_3DOF), 1e-12),
+}
 
 
-def _chains_stable(a: np.ndarray, b: np.ndarray, K: np.ndarray, dof: int, sampled: bool) -> bool:
-    """True iff every entry of a - b K outside the blocks of the dof chain
-    table is at most _OFF_BLOCK_RTOL[dof] times that entry of
+def _chains_stable(a: np.ndarray, b: np.ndarray, K: np.ndarray, sampled: bool) -> bool:
+    """True iff every entry of a - b K outside the blocks of the chain
+    table with a's state count is at most its bound times that entry of
     |a| + |b| |K|, and every chain block of a - b K is stable.
 
     Continuous blocks must be Hurwitz. A sampled block F must have every
     eigenvalue strictly inside the unit circle; the bilinear map
     W = (F - I)(F + I)^-1 takes those to the open left half-plane, so W
     must be Hurwitz, and a singular F + I (an eigenvalue at -1) fails.
-    Blocks of equal size go through char_poly as one stack.
+    F - I is (a - I) - b K, which keeps the slow poles that 1 + (F - I)
+    rounds away: a = Phi has a unit diagonal, so a - I is exact.
+    Blocks of equal size go through char_poly as one stack. A continuous
+    loop whose products overflow raises PolePlacementError; a sampled loop
+    that is not finite is not stable.
     """
+    if len(a) not in _LAYOUTS:
+        raise ValueError(f"no chain table has {len(a)} states; a closed loop has 12 or 6")
+    outside, stacks, rtol = _LAYOUTS[len(a)]
+    if sampled:
+        a = a - np.eye(len(a))
     closed = a - b @ K
-    outside, stacks = _LAYOUT[dof]
+    if not (sampled or np.isfinite(closed).all()):
+        raise PolePlacementError(_OUT_OF_RANGE)
     scale = np.abs(a[outside]) + (np.abs(b) @ np.abs(K))[outside]
-    if not np.all(np.abs(closed[outside]) <= _OFF_BLOCK_RTOL[dof] * scale):
+    if not np.all(np.abs(closed[outside]) <= rtol * scale):
         return False
     for rows, cols in stacks:
         stack = closed[rows, cols]
         if sampled:
             eye = np.eye(stack.shape[-1])
             try:  # F - I and (F + I)^-1 commute
-                stack = np.linalg.solve(stack + eye, stack - eye)
+                stack = np.linalg.solve(stack + 2.0 * eye, stack)
             except np.linalg.LinAlgError:
                 return False
         polys = char_poly(stack)
-        if not (np.isfinite(polys).all() and all(map(is_hurwitz, polys))):
+        finite = np.isfinite(polys).all()
+        if not (sampled or finite):
+            raise PolePlacementError(_OUT_OF_RANGE)
+        if not (finite and all(map(is_hurwitz, polys))):
             return False
     return True

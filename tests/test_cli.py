@@ -317,6 +317,72 @@ def test_sampled_loop_refusal_writes_no_gains(capsys, params_file, tmp_path, dof
     assert code == 0 and err == ""
 
 
+def test_nonlinear_closed_loop_runs_at_desk_poles(capsys, params_file, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--plant", "nonlinear", "--mode", "closed", "--poles=-3",
+                         "--x0", "z=0.5,theta=0.05", "--t-final", "1", "--dt", "0.001",
+                         "--out", str(out_path))
+    assert code == 0 and out == "" and err == ""
+    header, rows = read_csv(out_path)
+    assert header[-4:] == ["F1", "F2", "F3", "F4"]
+    assert rows.shape == (1001, 17) and np.all(np.isfinite(rows))
+    assert abs(rows[-1, 3]) < 0.5 and abs(rows[-1, 8]) < 0.05  # z and theta regulate
+
+
+def test_nonlinear_closed_loop_unstable_at_its_dt_is_exit_4(capsys, params_file, tmp_path):
+    # RK4 with held forces is exact on the nilpotent A, so the step of the
+    # nonlinear loop linearized at hover is Phi - Gamma K: the linear
+    # plant's refusal; run, it reached z = 3.6e92 by t = 1 s
+    out_path, gains_path = tmp_path / "x.csv", tmp_path / "gains.json"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--plant", "nonlinear", "--mode", "closed", "--poles=-300",
+                         "--dt", "0.01", "--t-final", "1", "--x0", "z=0.5",
+                         "--out", str(out_path), "--gains-out", str(gains_path))
+    assert code == 4 and out == ""
+    assert err == ("quadmodel: simulation refused: the sampled closed loop Phi - Gamma K "
+                   "is unstable at dt=0.01; use a smaller --dt or slower poles\n")
+    assert not out_path.exists() and not gains_path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("plant", ["linear", "nonlinear"])
+def test_a_dt_beyond_float64_is_unstable_not_a_pole_error(capsys, params_file, tmp_path, plant):
+    # Phi - Gamma K at dt = 1e80 overflows: that loop is unstable at its dt,
+    # and the poles are not at fault
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--plant", plant, "--mode", "closed", "--dt", "1e80",
+                         "--t-final", "1e80", "--x0", "z=0.5", "--out", str(out_path))
+    assert code == 4 and out == ""
+    assert err == ("quadmodel: simulation refused: the sampled closed loop Phi - Gamma K "
+                   "is unstable at dt=1e+80; use a smaller --dt or slower poles\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pole,want", [("-1e100", 2), ("-1e60", 2), ("-1e-60", 0),
+                                       ("-1e-78", 2), ("-1e-300", 2)])
+def test_poles_beyond_float64_are_an_input_error_not_a_defect(capsys, params_file, tmp_path,
+                                                              pole, want):
+    # -1e100 and -1e60 overflow the gains or the check, -1e-78 underflows
+    # the gains to subnormals and -1e-300 to 0; -1e-60 has gains of
+    # 1e-243, designed and checked exactly
+    out_path, gains_path = tmp_path / "x.csv", tmp_path / "gains.json"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--mode", "closed", f"--poles={pole}", "--x0", "z=0.5",
+                         "--t-final", "0.01", "--out", str(out_path),
+                         "--gains-out", str(gains_path))
+    assert code == want and out == ""
+    if want == 2:
+        assert err == ("quadmodel: error: the requested poles are too extreme for float64: "
+                       "a gain or a closed-loop check coefficient overflows or underflows\n")
+        assert not out_path.exists() and not gains_path.exists()
+    else:
+        assert err == ""
+        assert np.all(np.isfinite(read_csv(out_path)[1]))
+
+
 def test_spread_poles_are_designed_and_run(capsys, params_file, tmp_path):
     # the dense 12th-degree check refused these valid poles; per chain they pass
     out_path = tmp_path / "x.csv"

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -245,9 +247,10 @@ def test_char_poly_of_a_stack_is_per_block():
             assert np.array_equal(poly, char_poly(block))
 
 
-def test_char_poly_size_guard():
-    with pytest.raises(NotSquare):
-        char_poly(np.eye(17))
+def test_char_poly_of_a_20_state_shift_is_lambda_to_the_20():
+    expected = np.zeros(21)
+    expected[0] = 1.0
+    assert char_poly(np.eye(20, k=1)).tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------- is_hurwitz
@@ -281,26 +284,21 @@ def test_is_hurwitz_rejects_degenerate_input():
 
 def reference_is_hurwitz(coeffs) -> bool:
     """The Routh array that substituted 1e-30 for a zero pivot and ran to
-    the last row before it judged the first column."""
-    c = np.asarray(coeffs, dtype=float).ravel()
-    c = c / c[0]
-    n = c.size - 1
+    the last row before it judged the first column, in exact rationals, so
+    that its products neither underflow nor overflow."""
+    c = [Fraction(v) for v in np.asarray(coeffs, dtype=float).ravel().tolist()]
+    c = [v / c[0] for v in c]
+    n = len(c) - 1
     width = n // 2 + 1
-    table = np.zeros((n + 1, width + 1))
-    table[0, : len(c[0::2])] = c[0::2]
-    table[1, : len(c[1::2])] = c[1::2]
-    first_column = [1.0, float(c[1])]
-    with np.errstate(all="ignore"):
-        for i in range(2, n + 1):
-            prev, prev2 = table[i - 1], table[i - 2]
-            if not np.any(prev != 0.0):
-                return False
-            pivot = prev[0] if prev[0] != 0.0 else 1e-30
-            table[i, :width] = (
-                pivot * prev2[1 : width + 1] - prev2[0] * prev[1 : width + 1]
-            ) / pivot
-            first_column.append(float(table[i, 0]))
-    return all(v > 0.0 for v in first_column)
+    table = [row + [Fraction(0)] * (width + 1 - len(row)) for row in (c[0::2], c[1::2])]
+    for _ in range(2, n + 1):
+        prev2, prev = table[-2], table[-1]
+        if not any(prev):
+            return False
+        pivot = prev[0] if prev[0] != 0 else Fraction(1e-30)
+        table.append([(pivot * prev2[j + 1] - prev2[0] * prev[j + 1]) / pivot
+                      for j in range(width)] + [Fraction(0)])
+    return all(row[0] > 0 for row in table)
 
 
 # zero coefficients often, so that zero pivots and zero rows come up
@@ -310,20 +308,27 @@ routh_coeff = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0]), st.floats(-10, 1
 @settings(max_examples=300)
 @given(head=st.floats(0.1, 10) | st.floats(-10, -0.1),
        tail=st.lists(routh_coeff, min_size=1, max_size=12))
+@example(head=1.0, tail=[4e-206, 4e-206])  # Hurwitz; 4e-206 squared underflows float64
+@example(head=2.0, tail=[5e-324])  # Hurwitz; 5e-324 / 2 rounds to 0
 def test_is_hurwitz_matches_reference_routh(head, tail):
     assert is_hurwitz([head] + tail) == reference_is_hurwitz([head] + tail)
 
 
 @settings(max_examples=300)
 @given(roots=st.lists(st.tuples(st.floats(0.1, 5) | st.floats(-5, -0.1), st.floats(0, 5)),
-                      min_size=1, max_size=6))
-def test_is_hurwitz_decides_known_roots(roots):
+                      min_size=1, max_size=6),
+       exponent=st.sampled_from([0]) | st.integers(-20, 20))
+@example(roots=[(-1.0, 0.5)] * 6, exponent=-15)
+@example(roots=[(-1.0, 0.5)] * 6, exponent=15)
+def test_is_hurwitz_decides_known_roots(roots, exponent):
     # real roots and conjugate pairs, degree 1 to 12, every real part at
-    # least 0.1 away from the axis
+    # least 0.1 away from the axis, then scaled by 1e-20..1e20, where the
+    # products of an unnormalized Routh array would underflow or overflow
     poles = []
     for re, im in roots:
         poles += [complex(re, im), complex(re, -im)] if im > 0.0 else [complex(re, 0.0)]
-    assert is_hurwitz(poles_to_monic(poles)) == all(s.real < 0.0 for s in poles)
+    scaled = [s * 10.0**exponent for s in poles]
+    assert is_hurwitz(poles_to_monic(scaled)) == all(s.real < 0.0 for s in poles)
 
 
 def test_is_hurwitz_zero_coefficients():

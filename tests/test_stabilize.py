@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,7 +31,7 @@ from quadmodel import (
     simulate,
     zoh_discretize,
 )
-from quadmodel.stabilize import _chains_stable
+from quadmodel.stabilize import InternalStabilityCheckFailed, _chains_stable, _check_closed_loop
 from util import assert_close, quad_params
 
 negative_pole = st.floats(min_value=-5.0, max_value=-0.5)
@@ -221,7 +223,7 @@ def test_sampled_loop_check_agrees_with_the_spectral_radius(p, chains, dt, dof):
     radius = np.max(np.abs(np.linalg.eigvals(phi - gamma @ gains.K)))
     assume(abs(radius - 1.0) > 1e-3)  # numpy's radius decides only away from the circle
     try:
-        check_sampled_loop(m, gains.K, dt, dof)
+        check_sampled_loop(m, gains.K, dt)
         stable = True
     except UnstableSampledLoop:
         stable = False
@@ -232,32 +234,80 @@ def test_sampled_loop_check_at_the_cli_repro(params):
     m = build_6dof(params)
     gains = design_6dof_gains(params, PoleSpec.uniform_6dof(-300.0))
     with pytest.raises(UnstableSampledLoop, match=r"unstable at dt=0\.01;"):
-        check_sampled_loop(m, gains.K, 0.01, 6)
-    check_sampled_loop(m, gains.K, 0.001, 6)
+        check_sampled_loop(m, gains.K, 0.01)
+    check_sampled_loop(m, gains.K, 0.001)
     # slow poles at a fine step sit just inside the unit circle
     gains = design_6dof_gains(params, PoleSpec.uniform_6dof(-0.01))
-    check_sampled_loop(m, gains.K, 1e-4, 6)
+    check_sampled_loop(m, gains.K, 1e-4)
 
 
 def test_sampled_block_with_an_eigenvalue_at_minus_one_fails():
     # F + I is singular: |z| = 1 is not strictly inside the unit circle
     b, K = np.zeros((12, 4)), np.zeros((4, 12))
-    assert _chains_stable(-np.eye(12), b, K, 6, sampled=True) is False
-    assert _chains_stable(0.5 * np.eye(12), b, K, 6, sampled=True) is True
+    assert _chains_stable(-np.eye(12), b, K, sampled=True) is False
+    assert _chains_stable(0.5 * np.eye(12), b, K, sampled=True) is True
 
 
 def test_closed_loop_entries_outside_the_chain_blocks_must_vanish():
     a, b, K = -np.eye(12), np.zeros((12, 4)), np.zeros((4, 12))
-    assert _chains_stable(a, b, K, 6, sampled=False) is True
+    assert _chains_stable(a, b, K, sampled=False) is True
     a[2, 0] = 1e-300  # z row, x column: a different chain
-    assert _chains_stable(a, b, K, 6, sampled=False) is False
+    assert _chains_stable(a, b, K, sampled=False) is False
     # 3DOF allows the rounding of cancelling products, measured against
     # them: here (b K)[0, 1] = 1 + (delta - 1) against |b| |K| = 2
     a, b, K = -np.eye(6), np.zeros((6, 4)), np.zeros((4, 6))
     b[0, :2] = 1.0
     for delta, stable in ((1e-13, True), (1e-11, False)):
         K[:2, 1] = (1.0, delta - 1.0)
-        assert _chains_stable(a, b, K, 3, sampled=False) is stable
+        assert _chains_stable(a, b, K, sampled=False) is stable
+
+
+def test_closed_loop_check_takes_its_chain_table_from_the_state_count():
+    a, b, K = -np.eye(4), np.zeros((4, 4)), np.zeros((4, 4))
+    with pytest.raises(ValueError, match=r"^no chain table has 4 states; a closed loop has 12 or 6$"):
+        _chains_stable(a, b, K, sampled=False)
+
+
+@pytest.mark.parametrize("dof,pole", [(6, -1e100), (6, -1e60), (6, -1e-78), (6, -1e-300),
+                                      (3, -1e160), (3, -1e-155), (3, -1e-300)])
+def test_poles_beyond_float64_are_refused_as_a_request_error(params, dof, pole):
+    # the true gains are finite and nonzero; the computed ones overflow, or
+    # underflow to subnormals or 0, or the check's products overflow
+    design, spec = ((design_6dof_gains, PoleSpec.uniform_6dof) if dof == 6
+                    else (design_3dof_gains, PoleSpec.uniform_3dof))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PolePlacementError, match=r"^the requested poles are too extreme"):
+            design(params, spec(pole))
+
+
+@pytest.mark.parametrize("pole", [-1e-60, -1e-20])
+def test_slow_poles_are_designed_and_checked_at_their_own_scale(params, pole):
+    # the Routh array of (s + 1e-60)^4 underflowed, and 1 + (F - I) rounded
+    # a slow sampled loop onto the unit circle; both loops are stable
+    for m, gains in ((build_6dof(params), design_6dof_gains(params, PoleSpec.uniform_6dof(pole))),
+                     (build_3dof(params), design_3dof_gains(params, PoleSpec.uniform_3dof(pole)))):
+        check_sampled_loop(m, gains.K, 1e-3)
+
+
+def test_a_zero_gain_at_desk_poles_is_a_defect_not_a_range_error(params):
+    # a gain the bookkeeping left at 0 is not float64 running out
+    m = build_6dof(params)
+    K = design_6dof_gains(params, PoleSpec.uniform_6dof(-2.0)).K.copy()
+    K.flat[np.flatnonzero(K)[0]] = 0.0
+    with pytest.raises(InternalStabilityCheckFailed):
+        _check_closed_loop(m, K)
+
+
+@pytest.mark.parametrize("dt", [1e80, 1e300])
+def test_a_sampled_loop_beyond_float64_is_unstable_at_its_dt(params, dt):
+    # Phi and Gamma K overflow: the request's dt, not its poles, is at fault
+    m = build_6dof(params)
+    gains = design_6dof_gains(params, PoleSpec.uniform_6dof(-2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnstableSampledLoop):
+            check_sampled_loop(m, gains.K, dt)
 
 
 def test_3dof_design_keeps_cancelling_mixer_products_apart():
