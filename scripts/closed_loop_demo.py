@@ -9,6 +9,10 @@ decays once the repeated-pole polynomial transients die off.
 
 Usage: python scripts/closed_loop_demo.py [--params FILE] [--pole -2.0]
        [--out traj.csv]
+
+Like `quadmodel sim`, it refuses poles too extreme for float64 (exit 2) and
+a sampled loop that is unstable at its 1 ms step (exit 4) with one line on
+stderr, before it prints or writes anything.
 """
 
 import argparse
@@ -17,14 +21,19 @@ import numpy as np
 
 from quadmodel import (
     ParameterError,
+    PolePlacementError,
     PoleSpec,
     SimConfig,
+    UnstableSampledLoop,
     analyze,
     build_6dof,
+    check_sampled_loop,
     design_6dof_gains,
     simulate_feedback,
 )
 from quadmodel.cli import InputError, load_params, write_trajectory_csv
+
+DT = 0.001  # s, the step of the run and of its sampled-loop check
 
 
 def main():
@@ -41,24 +50,30 @@ def main():
     except (InputError, ParameterError) as e:
         ap.error(str(e))
     model = build_6dof(p)
+    try:
+        gains = design_6dof_gains(p, PoleSpec.uniform_6dof(args.pole))
+        check_sampled_loop(model, gains.K, DT)
+    except PolePlacementError as e:
+        ap.exit(2, f"{ap.prog}: error: {e}\n")
+    except UnstableSampledLoop as e:
+        ap.exit(4, f"{ap.prog}: simulation refused: {e}\n")
 
     report = analyze(model)
     print(f"open loop: stability={report.stability_class}, "
           f"controllability rank {report.controllability_rank}/12")
 
-    gains = design_6dof_gains(p, PoleSpec.uniform_6dof(args.pole))
     x0 = np.zeros(12)
     x0[0] = x0[1] = x0[2] = 0.5   # half a metre off in every axis
     x0[6] = x0[7] = 0.05          # three degrees of tilt
     traj = simulate_feedback(model, x0, gains.K, np.zeros(4),
-                             SimConfig(t_final=args.t_final, dt=0.001))
+                             SimConfig(t_final=args.t_final, dt=DT))
 
     n0 = np.linalg.norm(x0)
     print(f"\nclosed loop, all poles at {args.pole}:")
     print(f"{'t [s]':>6}  {'|x|/|x0|':>10}")
     norms = np.linalg.norm(traj.states, axis=1) / n0
     for t in np.arange(0.0, args.t_final + 1e-9, 1.0):
-        i = int(round(t / 0.001))
+        i = int(round(t / DT))
         print(f"{t:6.1f}  {norms[i]:10.3e}")
 
     below = np.nonzero(norms < 1e-3)[0]

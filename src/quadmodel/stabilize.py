@@ -19,16 +19,16 @@ Feedback convention: u = r - K x, with r defaulting to the hover
 equilibrium input.
 
 Every design checks the closed loop A - B K it produced, chain block by
-chain block: the entries outside the blocks must vanish, and each block
-of at most four states must be Hurwitz (char_poly + is_hurwitz). The
-check reads the matrix, and its chain table from the matrix's state
-count. check_sampled_loop applies the same rule to the sampled loop
-Phi - Gamma K of a run on either plant: RK4 with held forces is exact on
-the nilpotent A, so Phi - Gamma K is the nonlinear step's Jacobian at
-hover. A request whose gains are not normal float64 numbers (true gains
-of left-half-plane poles are finite and nonzero), or whose check
-overflows, is refused as a PolePlacementError, not reported as a defect;
-a sampled loop that leaves float64 is unstable at its dt.
+chain block: the entries outside the blocks must be exactly 0 on both
+models, and each block of at most four states must be Hurwitz (char_poly
++ is_hurwitz). The check reads the matrix, and its chain table from the
+matrix's state count. check_sampled_loop applies the same rule to the
+sampled loop Phi - Gamma K of a run on either plant: RK4 with held forces
+is exact on the nilpotent A, so Phi - Gamma K is the nonlinear step's
+Jacobian at hover. A request whose gains are not normal float64 numbers
+(true gains of left-half-plane poles are finite and nonzero), or whose
+check overflows, is refused as a PolePlacementError, not reported as a
+defect; a sampled loop that leaves float64 is unstable at its dt.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import StateSpaceModel, char_poly, is_hurwitz
-from .models import CHAINS_3DOF, CHAINS_6DOF, build_3dof, build_6dof
+from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, build_3dof, build_6dof
 from .params import QuadParams
 from .rotor_forces import mixer_inverse
 from .simulate import zoh_discretize
@@ -285,21 +285,15 @@ def _block_layout(chains):
     return outside, stacks
 
 
-# Keyed by state count: the block layout and the bound on an entry outside
-# the chain blocks, relative to the same entry of |A| + |B| |K|, the scale
-# of the rounding that B K leaves where its products cancel. 6DOF: exactly
-# zero, each input drives one chain. 3DOF: mixer(p) @ mixer_inverse(p)
-# cancels there.
-_LAYOUTS = {
-    12: (*_block_layout(CHAINS_6DOF), 0.0),
-    6: (*_block_layout(CHAINS_3DOF), 1e-12),
-}
+# the block layout of each model's chain table, keyed by its state count
+_LAYOUTS = {len(layout[0]): layout for layout in map(_block_layout, CHAINS.values())}
 
 
 def _chains_stable(a: np.ndarray, b: np.ndarray, K: np.ndarray, sampled: bool) -> bool:
     """True iff every entry of a - b K outside the blocks of the chain
-    table with a's state count is at most its bound times that entry of
-    |a| + |b| |K|, and every chain block of a - b K is stable.
+    table with a's state count is exactly 0, and every chain block of
+    a - b K is stable. b K sums separately rounded products, which the
+    3DOF mixer's +- pairs cancel exactly; a fused multiply-add would not.
 
     Continuous blocks must be Hurwitz. A sampled block F must have every
     eigenvalue strictly inside the unit circle; the bilinear map
@@ -312,15 +306,15 @@ def _chains_stable(a: np.ndarray, b: np.ndarray, K: np.ndarray, sampled: bool) -
     that is not finite is not stable.
     """
     if len(a) not in _LAYOUTS:
-        raise ValueError(f"no chain table has {len(a)} states; a closed loop has 12 or 6")
-    outside, stacks, rtol = _LAYOUTS[len(a)]
+        raise ValueError(f"no chain table has {len(a)} states; a closed loop has "
+                         + " or ".join(map(str, _LAYOUTS)))
+    outside, stacks = _LAYOUTS[len(a)]
     if sampled:
         a = a - np.eye(len(a))
-    closed = a - b @ K
+    closed = a - (b[:, :, None] * K).sum(axis=1)
     if not (sampled or np.isfinite(closed).all()):
         raise PolePlacementError(_OUT_OF_RANGE)
-    scale = np.abs(a[outside]) + (np.abs(b) @ np.abs(K))[outside]
-    if not np.all(np.abs(closed[outside]) <= rtol * scale):
+    if closed[outside].any():
         return False
     for rows, cols in stacks:
         stack = closed[rows, cols]
@@ -330,6 +324,10 @@ def _chains_stable(a: np.ndarray, b: np.ndarray, K: np.ndarray, sampled: bool) -
                 stack = np.linalg.solve(stack + 2.0 * eye, stack)
             except np.linalg.LinAlgError:
                 return False
+            # to unit size by a power of two, exactly, so that a slow loop's
+            # coefficients do not underflow; a positive scale keeps Hurwitz
+            exponent = np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1]
+            stack = np.ldexp(stack, -exponent[:, None, None])
         polys = char_poly(stack)
         finite = np.isfinite(polys).all()
         if not (sampled or finite):

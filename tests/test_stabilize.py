@@ -253,13 +253,13 @@ def test_closed_loop_entries_outside_the_chain_blocks_must_vanish():
     assert _chains_stable(a, b, K, sampled=False) is True
     a[2, 0] = 1e-300  # z row, x column: a different chain
     assert _chains_stable(a, b, K, sampled=False) is False
-    # 3DOF allows the rounding of cancelling products, measured against
-    # them: here (b K)[0, 1] = 1 + (delta - 1) against |b| |K| = 2
+    # 3DOF has the same rule, however large the mixer's products there
     a, b, K = -np.eye(6), np.zeros((6, 4)), np.zeros((4, 6))
     b[0, :2] = 1.0
-    for delta, stable in ((1e-13, True), (1e-11, False)):
-        K[:2, 1] = (1.0, delta - 1.0)
-        assert _chains_stable(a, b, K, sampled=False) is stable
+    K[:2, 1] = (1.0, -1.0)  # (b K)[0, 1] cancels to exactly 0
+    assert _chains_stable(a, b, K, sampled=False) is True
+    a[0, 1] = 1e-300  # phi row, theta column: a different axis
+    assert _chains_stable(a, b, K, sampled=False) is False
 
 
 def test_closed_loop_check_takes_its_chain_table_from_the_state_count():
@@ -281,13 +281,16 @@ def test_poles_beyond_float64_are_refused_as_a_request_error(params, dof, pole):
             design(params, spec(pole))
 
 
-@pytest.mark.parametrize("pole", [-1e-60, -1e-20])
-def test_slow_poles_are_designed_and_checked_at_their_own_scale(params, pole):
-    # the Routh array of (s + 1e-60)^4 underflowed, and 1 + (F - I) rounded
-    # a slow sampled loop onto the unit circle; both loops are stable
+@pytest.mark.parametrize("pole,dt", [pytest.param(-1e-60, 1e-3, id="-1e-60"),
+                                     pytest.param(-1e-20, 1e-3, id="-1e-20"),
+                                     pytest.param(-1e-75, 1e-6, id="-1e-75-dt1e-06")])
+def test_slow_poles_are_designed_and_checked_at_their_own_scale(params, pole, dt):
+    # the Routh array of (s + 1e-60)^4 underflowed, 1 + (F - I) rounded a
+    # slow sampled loop onto the unit circle, and at -1e-75 with dt 1e-6 the
+    # coefficients of the unscaled bilinear block underflowed; all are stable
     for m, gains in ((build_6dof(params), design_6dof_gains(params, PoleSpec.uniform_6dof(pole))),
                      (build_3dof(params), design_3dof_gains(params, PoleSpec.uniform_3dof(pole)))):
-        check_sampled_loop(m, gains.K, 1e-3)
+        check_sampled_loop(m, gains.K, dt)
 
 
 def test_a_zero_gain_at_desk_poles_is_a_defect_not_a_range_error(params):
@@ -312,8 +315,9 @@ def test_a_sampled_loop_beyond_float64_is_unstable_at_its_dt(params, dt):
 
 def test_3dof_design_keeps_cancelling_mixer_products_apart():
     # d/Iy is small and c/Iz large: the yaw row of B K cancels products of
-    # 1.2e5 down to 1.2e-11, which is 1.1e-12 of max|A - B K| = 11 but
-    # 1e-16 of the products: rounding, not a coupling between chains
+    # 1.2e5. A fused multiply-add left 1.2e-11 of them outside the blocks,
+    # and the check refused the design; summed from separately rounded
+    # products they cancel to exactly 0
     p = QuadParams(m=1.0, d=0.0625, c=4.845750806847613, Ix=1.0, Iy=20.0, Iz=0.0625, g=1.0)
     spec = PoleSpec(roll=(-1.0, -10.0), pitch=(-1.0, -10.0), yaw=(-1.0, -10.0))
     m = build_3dof(p)
