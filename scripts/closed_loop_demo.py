@@ -55,8 +55,10 @@ def main():
         check_sampled_loop(model, gains.K, DT)
     except PolePlacementError as e:
         ap.exit(2, f"{ap.prog}: error: {e}\n")
-    except UnstableSampledLoop as e:
-        ap.exit(4, f"{ap.prog}: simulation refused: {e}\n")
+    except UnstableSampledLoop:
+        # the demo's step is fixed, so sim's advice to pass a smaller --dt does not apply
+        ap.exit(4, f"{ap.prog}: simulation refused: the sampled closed loop Phi - Gamma K is "
+                   f"unstable at the demo's fixed {DT * 1e3:g} ms step; use a slower --pole\n")
 
     report = analyze(model)
     print(f"open loop: stability={report.stability_class}, "

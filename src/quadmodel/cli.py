@@ -13,20 +13,21 @@ Exit codes are fixed for scriptability:
        failed its own stability check
 
 Error paths print a one-line diagnostic on stderr and nothing on stdout.
+
+`sim --plant linear` runs on Python floats and never imports numpy; numpy
+is imported only by the commands and plant that need it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, fields
 
-import numpy as np
-
-from .analysis import analyze
 from .linalg import StateSpaceModel
-from .models import CHAINS, ROTOR_FORCE_LABELS, build_3dof, build_6dof
+from .models import CHAINS, LABELS, ROTOR_FORCE_LABELS, build_3dof, build_6dof, model_rows
 from .params import ParameterError, QuadParams, hover_thrust_per_rotor, validate
 from .rotor_forces import GeneralizedInput, RotorForces, demix, mix
 from .simulate import (
@@ -34,7 +35,7 @@ from .simulate import (
     NonFiniteState,
     SimConfig,
     Trajectory,
-    simulate_feedback,
+    feedback_rows,
     simulate_nonlinear,
 )
 from .stabilize import (
@@ -43,9 +44,8 @@ from .stabilize import (
     PolePlacementError,
     PoleSpec,
     UnstableSampledLoop,
-    check_sampled_loop,
-    design_3dof_gains,
-    design_6dof_gains,
+    check_sampled_rows,
+    design_rows,
 )
 
 EXIT_OK = 0
@@ -141,13 +141,13 @@ def format_model_pretty(m: StateSpaceModel, title: str) -> str:
     return "\n".join(lines).rstrip("\n")
 
 
-def parse_assignments(specs, labels, what: str, defaults=None) -> np.ndarray:
-    """Turn repeated ``label=value`` flags into a vector over ``labels``.
+def parse_assignments(specs, labels, what: str, defaults=None) -> list[float]:
+    """Turn repeated ``label=value`` flags into a list over ``labels``.
 
     Unassigned entries keep ``defaults`` (zeros when not given). Values
     must be finite.
     """
-    values = np.zeros(len(labels)) if defaults is None else np.array(defaults, dtype=float)
+    values = [0.0] * len(labels) if defaults is None else [float(v) for v in defaults]
     for spec in specs or []:
         for part in spec.split(","):
             part = part.strip()
@@ -165,7 +165,7 @@ def parse_assignments(specs, labels, what: str, defaults=None) -> np.ndarray:
                 value = float(raw)
             except ValueError:
                 raise InputError(f"bad numeric value in {what} assignment {part!r}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise InputError(f"{what} value for {name!r} must be finite")
             values[labels.index(name)] = value
     return values
@@ -209,23 +209,28 @@ def parse_pole_spec(pole_args, dof: int) -> PoleSpec:
         raise InputError(str(e)) from e
 
 
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """Header then one row per sample, full double precision (%.17g).
+def write_csv(fh, labels, blocks) -> None:
+    """Header then the rows, each block a flat sequence of whole rows (t
+    first), in full double precision (%.17g) by one %-format per block;
+    blocks of CSV_BLOCK_ROWS rows keep the text from adding megabytes."""
+    width = 1 + len(labels)
+    fh.write("t," + ",".join(labels) + "\n")
+    row = ",".join(["%.17g"] * width) + "\n"
+    for block in blocks:
+        fh.write((row * (len(block) // width)) % tuple(block))
 
-    Rows are formatted CSV_BLOCK_ROWS at a time, with one %-format over a
-    block's Python floats; a block rather than the whole table keeps the
-    formatted text from adding megabytes to peak memory.
-    """
-    fh.write("t," + ",".join(traj.state_labels + traj.input_labels) + "\n")
-    n, p = traj.states.shape[1], traj.inputs.shape[1]
-    row = ",".join(["%.17g"] * (1 + n + p)) + "\n"
+
+def write_trajectory_csv(traj: Trajectory, fh) -> None:
+    """write_csv of a Trajectory's times, states and inputs."""
+    write_csv(fh, traj.state_labels + traj.input_labels, _blocks(traj))
+
+
+def _blocks(traj: Trajectory):
+    """A Trajectory's rows, CSV_BLOCK_ROWS at a time, as flat lists."""
+    import numpy as np
     for lo in range(0, len(traj), CSV_BLOCK_ROWS):
-        hi = min(lo + CSV_BLOCK_ROWS, len(traj))
-        block = np.empty((hi - lo, 1 + n + p))
-        block[:, 0] = traj.times[lo:hi]
-        block[:, 1 : 1 + n] = traj.states[lo:hi]
-        block[:, 1 + n :] = traj.inputs[lo:hi]
-        fh.write((row * (hi - lo)) % tuple(block.ravel().tolist()))
+        arrays = (traj.times, traj.states, traj.inputs)
+        yield np.column_stack([a[lo : lo + CSV_BLOCK_ROWS] for a in arrays]).ravel().tolist()
 
 
 def _fmt12(v: float) -> str:
@@ -243,18 +248,16 @@ def cmd_model(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import analyze
+
     p = load_params(args.params)
     model = build_3dof(p) if args.dof == 3 else build_6dof(p)
     print(json.dumps(asdict(analyze(model)), indent=2))
     return EXIT_OK
 
 
-def _write_gains(gains: GainMatrix, path: str) -> None:
-    doc = {
-        "input_labels": list(gains.input_labels),
-        "state_labels": list(gains.state_labels),
-        "K": gains.K.tolist(),
-    }
+def _write_gains(K, state_labels, input_labels, path: str) -> None:
+    doc = {"input_labels": list(input_labels), "state_labels": list(state_labels), "K": K}
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
@@ -274,9 +277,9 @@ def cmd_sim(args) -> int:
     if args.mode == "closed" and args.input:
         raise InputError("--input only applies to --mode open (closed mode drives u = r - K x)")
 
-    model = build_3dof(p) if args.dof == 3 else build_6dof(p)
-    input_labels = ROTOR_FORCE_LABELS if nonlinear else model.input_labels
-    x0 = parse_assignments(args.x0, model.state_labels, "state")
+    state_labels, model_inputs, _ = LABELS[args.dof]
+    input_labels = ROTOR_FORCE_LABELS if nonlinear else model_inputs
+    x0 = parse_assignments(args.x0, state_labels, "state")
 
     plant_name = "nonlinear_6dof" if nonlinear else f"linear_{args.dof}dof"
     try:
@@ -290,16 +293,16 @@ def cmd_sim(args) -> int:
         raise InputError(str(e)) from e
 
     hover = hover_thrust_per_rotor(p)
-    gains = None
+    a, b = model_rows(p, args.dof)
+    K = [[0.0] * len(state_labels) for _ in model_inputs]  # open loop: no feedback
     if args.mode == "closed":
         try:
-            spec = parse_pole_spec(args.poles, args.dof)
-            gains = design_6dof_gains(p, spec) if args.dof == 6 else design_3dof_gains(p, spec)
-            check_sampled_loop(model, gains.K, cfg.dt)
+            K = design_rows(p, parse_pole_spec(args.poles, args.dof), args.dof)
+            check_sampled_rows(a, b, K, cfg.dt)
         except PolePlacementError as e:
             raise InputError(str(e)) from e
         if args.gains_out:
-            _write_gains(gains, args.gains_out)
+            _write_gains(K, state_labels, model_inputs, args.gains_out)
 
     if nonlinear:
         if args.mode == "open":
@@ -310,29 +313,28 @@ def cmd_sim(args) -> int:
                 return held
 
         else:
+            gains = GainMatrix(K, state_labels, model_inputs)
+
             def forces_fn(t, x):
                 u = gains.feedback_input(x)
-                if not np.all(np.isfinite(u)):
+                if not all(map(math.isfinite, u)):
                     raise NonFiniteState("feedback input became non-finite")
                 return demix(GeneralizedInput(*u), p)
 
-        traj = simulate_nonlinear(p, x0, forces_fn, cfg)
+        blocks = _blocks(simulate_nonlinear(p, x0, forces_fn, cfg))
     else:
-        if args.mode == "open":
-            # open loop holds u = r: no feedback
-            r = parse_assignments(args.input, input_labels, "input")
-            k_matrix = np.zeros((model.p, model.n))
-        else:
-            # r = hover equilibrium input: zero in the 6DOF deviation
-            # coordinates, equal per-rotor hover thrust for the 3DOF model
-            # (which adds no torque, so regulation is unaffected).
-            r = np.zeros(4) if args.dof == 6 else np.full(4, hover)
-            k_matrix = gains.K
-        traj = simulate_feedback(model, x0, k_matrix, r, cfg)
+        # open loop holds r; closed loop r = hover equilibrium input: zero in
+        # the 6DOF deviation coordinates, equal per-rotor hover thrust for the
+        # 3DOF model (which adds no torque, so regulation is unaffected).
+        r = ([0.0 if args.dof == 6 else hover] * 4 if args.mode == "closed"
+             else parse_assignments(args.input, input_labels, "input"))
+        rows = feedback_rows(a, b, K, r, x0, cfg)
+        step = CSV_BLOCK_ROWS * (1 + len(state_labels) + len(input_labels))
+        blocks = (rows[lo : lo + step] for lo in range(0, len(rows), step))
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_trajectory_csv(traj, fh)
+            write_csv(fh, state_labels + input_labels, blocks)
     except OSError as e:
         raise InputError(f"cannot write output file {args.out!r}: {e}") from e
     return EXIT_OK

@@ -1,23 +1,22 @@
 """Small dense-matrix numerics and the generic LTI state-space container.
 
-Everything here works on plain float64 numpy arrays. The matrices in this
-problem are tiny (at most 12x48, or 72x12) with exact-formula entries, so
-rank is decided by Gaussian elimination with partial pivoting rather than
-singular values, run on Python floats because the Kalman matrices are
-mostly exact zeros. Characteristic polynomials come from the
-Faddeev-LeVerrier recursion, on one matrix or on a stack of equal-size
-blocks, and stability is decided by a Routh array. A general eigensolver
-is deliberately avoided: the open-loop models are nilpotent (spectrum
-identically zero), and a closed loop is checked chain block by chain
-block with char_poly + is_hurwitz.
+The matrices in this problem are tiny (at most 12x48, or 72x12) with
+exact-formula entries, mostly exact zeros. The core (nonzeros, matmul,
+expm_rows, char_poly_rows, solve, is_hurwitz) works on nested lists of
+Python floats, skips those zeros and imports no numpy. The functions that take or return
+float64 arrays import numpy when first called. Rank is decided by Gaussian
+elimination with partial pivoting rather than singular values, and
+characteristic polynomials by the Faddeev-LeVerrier recursion. A general
+eigensolver is deliberately avoided: the open-loop models are nilpotent
+(spectrum identically zero), and a closed loop is checked chain block by
+chain block with char_poly_rows + is_hurwitz.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain, compress
 
 
 class DimensionMismatch(ValueError):
@@ -34,6 +33,7 @@ class NotNilpotent(ValueError):
 
 
 def _as_matrix(a) -> np.ndarray:
+    import numpy as np
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
@@ -50,7 +50,7 @@ def _require_square(a) -> np.ndarray:
 def _zero_tol(a: np.ndarray, rel_tol: float) -> float:
     # Scale by max(1, max|entry|): the 1.0 floor handles the zero matrix
     # without division hazards and keeps absolute meaning at desk scale.
-    return rel_tol * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
+    return rel_tol * max(1.0, float(abs(a).max()) if a.size else 1.0)
 
 
 def rank(a, rel_tol: float = 1e-9) -> int:
@@ -69,6 +69,7 @@ def rank(a, rel_tol: float = 1e-9) -> int:
     nonzero one never move, so both are dropped first. The Kalman
     matrices of the chain models are mostly such zeros.
     """
+    import numpy as np
     if rel_tol <= 0.0:
         raise ValueError(f"rel_tol must be > 0, got {rel_tol!r}")
     m = _as_matrix(a)
@@ -117,56 +118,113 @@ def nilpotency_index(a) -> int | None:
     tol = _zero_tol(m, 1e-12)
     power = m
     for k in range(1, n + 1):
-        if float(np.max(np.abs(power))) <= tol:
+        if float(abs(power).max()) <= tol:
             return k
         power = power @ m
     return None
 
 
-def expm_nilpotent(a, t: float) -> np.ndarray:
-    """exp(A t) for nilpotent A: the terminating series sum (A t)^j / j!.
+def nonzeros(m, scale: float = 1.0) -> list[list[tuple[int, float]]]:
+    """Each row of m as the (column, entry * scale) pairs of its nonzeros."""
+    return [[(k, row[k] * scale) for k in compress(range(len(row)), row)] for row in m]
 
-    Exact up to rounding -- no truncation is involved because A^k = 0.
-    """
+
+def _row_times(pairs, rows) -> dict:
+    """sum_k v rows[k] over the (k, v) pairs, each row of rows given as its
+    (column, entry) pairs, as a dict of the columns that got a product."""
+    acc: dict = {}
+    for k, v in pairs:
+        for c, x in rows[k]:
+            acc[c] = acc.get(c, 0.0) + v * x
+    return acc
+
+
+def matmul(a, b) -> list[list[float]]:
+    """a b for nested lists, over the nonzeros of both: an entry is +0.0
+    plus its products in order, so a sum of zeros is +0.0, as in BLAS."""
+    width, b = range(len(b[0]) if len(b) else 0), nonzeros(b)
+    return [[acc.get(c, 0.0) for c in width] for acc in (_row_times(r, b) for r in nonzeros(a))]
+
+
+def expm_rows(a, b, t: float) -> tuple[list, list]:
+    """exp([[A, B], [0, 0]] t) = [[Phi, Gamma], [0, I]] (Van Loan) for nested
+    lists A and B, A nilpotent: some A^j, j <= n, is exactly 0, as on every
+    chain model. Term j of Phi is T_j = T_(j-1) (A t) / j and of Gamma
+    T_(j-1) (B t) / j, on sparse rows: a row's series ends at its first term
+    with no nonzero entry, where the powers of A end it, even if its entries
+    overflowed to inf on the way."""
+    n = len(a)
+    at, bt = nonzeros(a, t), nonzeros(b, t)
+    phi = [[0.0] * n for _ in range(n)]
+    gamma = [[0.0] * len(row) for row in b]
+    for i, (p, g) in enumerate(zip(phi, gamma)):  # row i of each term comes from row i
+        p[i] = 1.0
+        row = {i: 1.0}
+        for j in range(1, n + 2):
+            for c, v in _row_times(row.items(), bt).items():
+                g[c] += v / j
+            row = {c: v / j for c, v in _row_times(row.items(), at).items() if v != 0.0}
+            if not row:
+                break
+            for c, v in row.items():
+                p[c] += v
+        else:
+            raise NotNilpotent(f"no power A^j with j <= {n} vanishes; use integrator='rk4'")
+    return phi, gamma
+
+
+def expm_nilpotent(a, t: float) -> np.ndarray:
+    """exp(A t) for nilpotent A, the Phi of expm_rows, as a float64 array:
+    exact up to rounding, since the series terminates."""
+    import numpy as np
     m = _require_square(a)
-    k = nilpotency_index(m)
-    if k is None:
-        raise NotNilpotent(
-            f"no power A^j with j <= {m.shape[0]} vanishes; use an RK4 fallback"
-        )
-    n = m.shape[0]
-    result = np.eye(n)
-    term = np.eye(n)
-    at = m * t
-    for j in range(1, k):
-        term = term @ at / j
-        result = result + term
-    return result
+    return np.array(expm_rows(m.tolist(), [[]] * len(m), t)[0]).reshape(m.shape)
+
+
+def char_poly_rows(a) -> list[float]:
+    """Monic characteristic polynomial [1, c1, ..., cn] of det(lambda I - A)
+    for a nested-list A (Faddeev-LeVerrier, on sparse rows). Once some M_k
+    leaves the finite floats, c_k on are NaN, as a dense product's 0 * inf
+    makes them."""
+    n, a = len(a), nonzeros(a)
+    coeffs, am, c = [1.0], [{} for _ in a], 1.0
+    for k in range(1, n + 1):
+        if c != 0.0:  # M_k = A M_(k-1) + c_(k-1) I, in place
+            for i, row in enumerate(am):
+                row[i] = row.get(i, 0.0) + c
+        if not all(map(math.isfinite, chain.from_iterable(map(dict.values, am)))):
+            return coeffs + [math.nan] * (n + 1 - k)
+        rows = [row.items() for row in am]
+        am = [_row_times(pairs, rows) for pairs in a]
+        c = sum(row.get(i, 0.0) for i, row in enumerate(am)) / -k
+        coeffs.append(c + 0.0)  # map -0.0 coefficients to +0.0
+        if not any(am):  # A M_k = 0 and c_k = 0: so are all later ones
+            return coeffs + [0.0] * (n - k)
+    return coeffs
 
 
 def char_poly(a) -> np.ndarray:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] of
-    det(lambda I - A), by the Faddeev-LeVerrier recursion.
+    """char_poly_rows of one square matrix, as a float64 array."""
+    import numpy as np
+    return np.array(char_poly_rows(_require_square(a).tolist()))
 
-    ``a`` is one n x n matrix, or a stack of k of them (shape k x n x n),
-    for which the result is k x (n + 1), one polynomial per block.
-    """
-    m = np.asarray(a, dtype=float)
-    if m.ndim not in (2, 3):
-        raise DimensionMismatch(f"expected a matrix or a stack of them, got ndim={m.ndim}")
-    n = m.shape[-1]
-    if m.shape[-2] != n:
-        raise NotSquare(f"expected square matrices, got shape {m.shape}")
-    coeffs = np.empty(m.shape[:-2] + (n + 1,))
-    coeffs[..., 0] = 1.0
-    eye = np.eye(n)
-    am = np.zeros_like(m)
-    c = np.ones(m.shape[:-2] + (1, 1))
-    for k in range(1, n + 1):
-        am = m @ (am + c * eye)  # A M_k with M_k = A M_{k-1} + c_{k-1} I
-        c = am.trace(axis1=-2, axis2=-1)[..., None, None] / -k
-        coeffs[..., k] = c[..., 0, 0]
-    return coeffs + 0.0  # map -0.0 coefficients to +0.0
+
+def solve(a, b) -> list[list[float]] | None:
+    """X with a X = b for nested lists (Gauss-Jordan, the pivot the first
+    row of largest magnitude), or None when a pivot is exactly 0."""
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        pivot_row, rows[piv] = rows[piv], rows[col]
+        if pivot_row[col] == 0.0:
+            return None
+        rows[col] = pivot_row = [v / pivot_row[col] for v in pivot_row]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != col and f != 0.0:
+                rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
+    return [row[n:] for row in rows]
 
 
 def is_hurwitz(coeffs) -> bool:
@@ -184,7 +242,7 @@ def is_hurwitz(coeffs) -> bool:
     that keeps the signs. No entry rounds, underflows or overflows, at any
     scale of the roots.
     """
-    c = np.asarray(coeffs, dtype=float).ravel().tolist()
+    c = [float(v) for v in coeffs]
     if len(c) < 2:
         raise ValueError("polynomial degree must be >= 1")
     if c[0] == 0.0 or not all(map(math.isfinite, c)):
@@ -227,6 +285,7 @@ class StateSpaceModel:
     output_labels: tuple[str, ...]
 
     def __post_init__(self):
+        import numpy as np
         for name in ("A", "B", "C", "D"):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 2:

@@ -17,18 +17,17 @@ torques about body x/y/z respectively.
 
 Both models are decoupled chains of integrators behind the rotor mixer,
 and CHAINS_6DOF / CHAINS_3DOF state that structure once: the builders here,
-the gain designs and the CLI pole parsing all read it.
+the gain designs and the CLI pole parsing all read it. model_rows gives A
+and B as nested lists, without numpy, for the linear `quadmodel sim`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linalg import StateSpaceModel
 from .params import QuadParams, validate
-from .rotor_forces import mixer
+from .rotor_forces import mixer_rows
 
 ROTOR_FORCE_LABELS = ("F1", "F2", "F3", "F4")
 
@@ -82,47 +81,51 @@ CHAINS_3DOF = (
 )
 CHAINS = {6: CHAINS_6DOF, 3: CHAINS_3DOF}
 
+LABELS = {
+    6: (DOF6_STATE_LABELS, DOF6_INPUT_LABELS, DOF6_OUTPUT_LABELS),
+    3: (DOF3_STATE_LABELS, DOF3_INPUT_LABELS, DOF3_OUTPUT_LABELS),
+}
+
 # the 6DOF inputs are the chain inputs themselves
-_IDENTITY = np.eye(4).tolist()
+_IDENTITY = [[float(i == j) for j in range(4)] for i in range(4)]
 
 
-def _chain_model(p, chains, input_map, state_labels, input_labels, output_labels):
-    """The model of a chain table. Row r of input_map gives chain input r
-    from the model's inputs (the identity for 6DOF, the mixer for 3DOF); the
-    last state of the chain it drives gets B row input_map[r] / inertia."""
-    n = len(state_labels)
-    A = np.zeros((n, n))
-    B = np.zeros((n, len(input_labels)))
+def model_rows(p: QuadParams, dof: int) -> tuple[list, list]:
+    """A and B of the dof model as nested lists, from its chain table, for
+    parameters already validated. Row r of the input map gives chain input
+    r from the model's inputs (the identity for 6DOF, the mixer for 3DOF);
+    the last state of the chain it drives gets B row input_map[r] / inertia."""
+    chains = CHAINS[dof]
+    input_map = _IDENTITY if dof == 6 else mixer_rows(p)
+    n = sum(len(ch.states) for ch in chains)
+    A = [[0.0] * n for _ in range(n)]
+    B = [[0.0] * 4 for _ in range(n)]
     for ch in chains:
         s = ch.states
         for i in range(len(s) - 1):
-            A[s[i], s[i + 1]] = 1.0
+            A[s[i]][s[i + 1]] = 1.0
         if ch.tilt:
-            A[s[1], s[2]] = ch.coupling(p)  # velocity <- angle
+            A[s[1]][s[2]] = ch.coupling(p)  # velocity <- angle
         inertia = getattr(p, ch.inertia)
-        for j, v in enumerate(input_map[ch.input_row]):
-            B[s[-1], j] = v / inertia
-    C = np.zeros((len(output_labels), n))
-    for row, y in enumerate(output_labels):
-        C[row, state_labels.index(y)] = 1.0
-    D = np.zeros((len(output_labels), len(input_labels)))
-    return StateSpaceModel(A, B, C, D, state_labels, input_labels, output_labels)
+        B[s[-1]] = [v / inertia for v in input_map[ch.input_row]]
+    return A, B
+
+
+def _build(p: QuadParams, dof: int) -> StateSpaceModel:
+    validate(p)
+    state_labels, input_labels, output_labels = LABELS[dof]
+    C = [[float(s == y) for s in state_labels] for y in output_labels]
+    D = [[0.0] * len(input_labels) for _ in output_labels]
+    return StateSpaceModel(*model_rows(p, dof), C, D, state_labels, input_labels, output_labels)
 
 
 def build_3dof(p: QuadParams) -> StateSpaceModel:
     """Attitude-only model: three double-integrator chains driven by the
     rotor thrusts through the mixer."""
-    validate(p)
-    return _chain_model(
-        p, CHAINS_3DOF, mixer(p).tolist(),
-        DOF3_STATE_LABELS, DOF3_INPUT_LABELS, DOF3_OUTPUT_LABELS,
-    )
+    return _build(p, 3)
 
 
 def build_6dof(p: QuadParams) -> StateSpaceModel:
     """Full model: positions, velocities, attitude, and rates, with the
     gravity-tilt coupling x_ddot = -g*theta and y_ddot = +g*phi."""
-    validate(p)
-    return _chain_model(
-        p, CHAINS_6DOF, _IDENTITY, DOF6_STATE_LABELS, DOF6_INPUT_LABELS, DOF6_OUTPUT_LABELS
-    )
+    return _build(p, 6)

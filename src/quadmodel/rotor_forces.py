@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import QuadParams
 
 # Tilt magnitude beyond which sin(a) ~ a stops being a good approximation.
@@ -21,13 +19,11 @@ SMALL_ANGLE_LIMIT = 0.5  # rad
 
 # Sign pattern S of the mixer M = diag(1, d, d, c) S. Rows: total thrust,
 # roll, pitch, yaw torque; columns: F1..F4. S S^T = diag(4, 2, 2, 4).
-_MIXER_SIGNS = np.array(
-    [
-        [1.0, 1.0, 1.0, 1.0],
-        [0.0, 1.0, 0.0, -1.0],
-        [1.0, 0.0, -1.0, 0.0],
-        [-1.0, 1.0, -1.0, 1.0],
-    ]
+_MIXER_SIGNS = (
+    (1.0, 1.0, 1.0, 1.0),
+    (0.0, 1.0, 0.0, -1.0),
+    (1.0, 0.0, -1.0, 0.0),
+    (-1.0, 1.0, -1.0, 1.0),
 )
 
 
@@ -70,17 +66,29 @@ class GeneralizedInput:
         return (self.u1, self.u2, self.u3, self.u4)
 
 
+def mixer_rows(p: QuadParams) -> list[list[float]]:
+    """The 4x4 mixer M as nested lists: (T, U2, U3, U4) = M (F1, F2, F3, F4),
+    with T the total thrust, so U1 = T - m g."""
+    return [[s * k for s in row] for row, k in zip(_MIXER_SIGNS, (1.0, p.d, p.d, p.c))]
+
+
+def mixer_inverse_rows(p: QuadParams) -> list[list[float]]:
+    """M^-1 as nested lists, in closed form S^T diag(1/4, 1/(2d), 1/(2d),
+    1/(4c)); exact up to the rounding of those four scales."""
+    scales = (0.25, 1.0 / (2.0 * p.d), 1.0 / (2.0 * p.d), 1.0 / (4.0 * p.c))
+    return [[s * k for s, k in zip(col, scales)] for col in zip(*_MIXER_SIGNS)]
+
+
 def mixer(p: QuadParams) -> np.ndarray:
-    """The 4x4 mixer M: (T, U2, U3, U4) = M (F1, F2, F3, F4), with T the
-    total thrust, so U1 = T - m g."""
-    return _MIXER_SIGNS * np.array([[1.0], [p.d], [p.d], [p.c]])
+    """mixer_rows as a float64 array."""
+    import numpy as np
+    return np.array(mixer_rows(p))
 
 
 def mixer_inverse(p: QuadParams) -> np.ndarray:
-    """M^-1 in closed form, S^T diag(1/4, 1/(2d), 1/(2d), 1/(4c)); exact up
-    to the rounding of those four scales."""
-    half_arm = 1.0 / (2.0 * p.d)
-    return _MIXER_SIGNS.T * np.array([0.25, half_arm, half_arm, 1.0 / (4.0 * p.c)])
+    """mixer_inverse_rows as a float64 array."""
+    import numpy as np
+    return np.array(mixer_inverse_rows(p))
 
 
 def mix(f: RotorForces, p: QuadParams) -> GeneralizedInput:

@@ -19,17 +19,20 @@ order (NaN and inf survive + and *, so nothing is lost by waiting). The
 nonlinear plant hands the state to forces_fn, so it checks every step and
 raises NonFiniteDerivative at the step that overflowed, an infinite angle
 included. The CLI maps both to exit code 4.
+
+feedback_rows runs the linear feedback loop on Python floats without
+numpy; the functions on numpy arrays import it when first called.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
-import numpy as np
-
-from .linalg import NotNilpotent, StateSpaceModel, expm_nilpotent
+from .linalg import StateSpaceModel, expm_rows, matmul, nonzeros
 from .models import DOF6_STATE_LABELS, ROTOR_FORCE_LABELS
 from .params import QuadParams, validate
 from .rotor_forces import RotorForces
@@ -107,30 +110,15 @@ class Trajectory:
 
 def zoh_discretize(m: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact one-step transition pair (Phi, Gamma) for a held input:
-    x+ = Phi x + Gamma u, valid when A is nilpotent.
-
-    Van Loan: exp([[A, B], [0, 0]] dt) = [[Phi, Gamma], [0, I]], and the
-    augmented matrix is nilpotent whenever A is, so its series terminates.
-    """
-    n = m.n
-    aug = np.zeros((n + m.p, n + m.p))
-    aug[:n, :n] = m.A
-    # Each input column is scaled to unit size by a power of two, which is
-    # exact: the nilpotency test on aug measures entries against its largest
-    # one, and B's columns can lie many decades apart (1/m against g/Ix).
-    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(m.B), axis=0, initial=0.0))[1])
-    aug[:n, n:] = m.B * scale
-    try:
-        e = expm_nilpotent(aug, dt)
-    except NotNilpotent:
-        raise NotNilpotent(
-            "exact ZOH stepping needs a nilpotent A matrix; use integrator='rk4'"
-        ) from None
-    return e[:n, :n], e[:n, n:] / scale
+    x+ = Phi x + Gamma u, valid when A is nilpotent (linalg.expm_rows)."""
+    import numpy as np
+    phi, gamma = expm_rows(m.A.tolist(), m.B.tolist(), dt)
+    return np.array(phi), np.array(gamma).reshape(m.n, m.p)
 
 
 def zoh_step(m: StateSpaceModel, x, u, dt: float) -> np.ndarray:
     """One exact zero-order-hold step of dx/dt = A x + B u."""
+    import numpy as np
     phi, gamma = zoh_discretize(m, dt)
     return phi @ np.asarray(x, dtype=float) + gamma @ np.asarray(u, dtype=float)
 
@@ -139,6 +127,7 @@ def rk4_step(
     deriv: Callable[[float, np.ndarray], np.ndarray], x, t: float, dt: float
 ) -> np.ndarray:
     """Classical 4th-order Runge-Kutta update of dx/dt = deriv(t, x)."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = np.asarray(deriv(t, x), dtype=float)
@@ -167,15 +156,14 @@ def simulate(
     that diverges keeps calling input_fn, with the non-finite x, up to the
     last step, and NonFiniteState is raised after it.
     """
+    import numpy as np
     if cfg.plant == "nonlinear_6dof":
         raise ValueError("cfg.plant is nonlinear_6dof; use simulate_nonlinear")
-    p = m.p
     x = np.asarray(x0, dtype=float).reshape(m.n)
-    steps = cfg.n_steps
-    times = np.arange(steps + 1) * cfg.dt
-    states = np.empty((steps + 1, m.n))
-    inputs = np.empty((steps + 1, p))
-
+    steps, n, p = cfg.n_steps, m.n, m.p
+    table = np.empty((steps + 1, 1 + n + p))  # rows t, x, u
+    times, states, inputs = table[:, 0], table[:, 1 : 1 + n], table[:, 1 + n :]
+    times[:] = np.arange(steps + 1) * cfg.dt
     exact = cfg.integrator == "exact_zoh"
     if exact:
         phi, gamma = zoh_discretize(m, cfg.dt)
@@ -196,25 +184,24 @@ def simulate(
                 states[i + 1] = x
         except NonFiniteDerivative:
             # rk4_step refuses a non-finite step; a bad input comes first
-            _raise_first_non_finite(times, states[: i + 1], inputs[: i + 1])
+            _raise_first_non_finite(table[: i + 1].ravel().tolist(), n, table.shape[1])
             raise
     inputs[steps] = np.asarray(input_fn(times[steps], x), dtype=float).reshape(p)
-    _raise_first_non_finite(times, states, inputs)
-    return Trajectory(times, states, inputs, m.state_labels, m.input_labels)
+    if not np.isfinite(table).all():
+        _raise_first_non_finite(table.ravel().tolist(), n, table.shape[1])
+    return _trajectory(table, n, p, m.state_labels, m.input_labels)
 
 
 def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajectory:
-    """Propagate a linear model from x0 under the held input u = r - K x.
+    """Propagate a linear model from x0 under the held input u = r - K x:
+    feedback_rows, as a Trajectory of views into its table (exact ZOH only).
 
-    Exact ZOH only. The closed-loop map F = Phi - Gamma K and the offset
-    c = Gamma r are formed once, each step is x+ = F x + c, and the inputs
-    are formed from the states after the loop. With K = 0 (open loop at the
-    constant input r) the run equals simulate with input_fn returning r, bit
-    for bit. With feedback it rounds differently from simulate with input_fn
-    r - K x; the two agree within 1e-9 of max|x0| over 5 s runs. A
-    diverging run raises NonFiniteState after its last step, at the first
-    non-finite input or state row, as simulate does.
+    At K = 0 the times and inputs equal those of simulate with input_fn
+    returning r, bit for bit; the states agree within 1e-12 of each
+    column's max |value|, and with feedback within 1e-9 of max|x0| over
+    5 s runs. A diverging run raises NonFiniteState as simulate does.
     """
+    import numpy as np
     if cfg.plant == "nonlinear_6dof" or cfg.integrator != "exact_zoh":
         raise ValueError("simulate_feedback needs a linear plant and integrator='exact_zoh'")
     K = np.asarray(K, dtype=float)
@@ -224,39 +211,64 @@ def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajector
             f"need K of shape {(m.p, m.n)} and r of shape {(m.p,)}, got {K.shape} and {r.shape}"
         )
     x = np.asarray(x0, dtype=float).reshape(m.n)
-    steps = cfg.n_steps
-    times = np.arange(steps + 1) * cfg.dt
-    states = np.empty((steps + 1, m.n))
-
-    phi, gamma = zoh_discretize(m, cfg.dt)
-    f_map = phi - gamma @ K
-    c = gamma @ r
-    states[0] = x
-    # a diverging run overflows quietly; the scan below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            x = f_map @ x + c
-            states[i + 1] = x
-        # at K = 0 the product is +0.0, so each input keeps r's bits, -0.0 too
-        inputs = r - states @ K.T
-    _raise_first_non_finite(times, states, inputs)
-    return Trajectory(times, states, inputs, m.state_labels, m.input_labels)
+    rows = feedback_rows(m.A.tolist(), m.B.tolist(), K.tolist(), r.tolist(), x.tolist(), cfg)
+    return _trajectory(rows, m.n, m.p, m.state_labels, m.input_labels)
 
 
-def _raise_first_non_finite(times, states, inputs) -> None:
-    """Raise NonFiniteState for the first non-finite row in step order.
+def _trajectory(rows, n: int, p: int, state_labels, input_labels) -> Trajectory:
+    """A run's rows (t, x, u), flat or as a 2-D table, as a Trajectory of
+    views into them."""
+    import numpy as np
+    t = np.frombuffer(rows).reshape(-1, 1 + n + p)
+    return Trajectory(t[:, 0], t[:, 1 : 1 + n], t[:, 1 + n :], state_labels, input_labels)
 
-    Step i reads inputs[i] before it writes states[i + 1], and NaN and inf
-    survive + and *, so the first bad row is where the run broke.
-    """
-    bad_inputs = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
-    bad_states = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
-    if bad_inputs.size and (not bad_states.size or bad_inputs[0] <= bad_states[0]):
-        raise NonFiniteState(f"input became non-finite at t={float(times[bad_inputs[0]]):g}")
-    if bad_states.size:
-        raise NonFiniteState(
-            f"state became non-finite at t={float(times[bad_states[0] + 1]):g}"
-        )
+
+def feedback_rows(a, b, K, r, x0, cfg: SimConfig) -> array:
+    """The run of simulate_feedback on nested lists, as one array('d') of
+    rows t, x, u (8 bytes a value, as in numpy). Each step is x+ = c + F x
+    and u = r + (-K) x with F = Phi - Gamma K and c = Gamma r, each row
+    summed from its offset over its nonzeros, so a 6DOF step costs the
+    chain blocks, and at K = 0 each input keeps r's bits, -0.0 too."""
+    phi, gamma = expm_rows(a, b, cfg.dt)
+    rows = [[p - q for p, q in zip(pr, qr)] for pr, qr in zip(phi, matmul(gamma, K))]
+    offsets = [c for (c,) in matmul(gamma, [[v] for v in r])]
+    step = _step_function(rows, offsets, [[-v for v in row] for row in K], r)
+    out, x, dt = array("d"), tuple(x0), cfg.dt
+    for i in range(cfg.n_steps + 1):
+        row, x = step(i * dt, *x)
+        out.extend(row)
+    _raise_first_non_finite(out, len(a), 1 + len(a) + len(r))
+    return out
+
+
+def _step_function(f_rows, c, k_rows, r):
+    """The function (t, x) -> ((t, x, r + k_rows x), c + f_rows x), written
+    out as one expression that sums each row left to right from its offset
+    over its nonzeros: a step is then one call, not a loop per row. Only
+    indices go into the source; the coefficients are bound as names."""
+    names, terms = {}, []
+    for i, (pairs, offset) in enumerate(zip(nonzeros(k_rows + f_rows), list(r) + list(c))):
+        names[f"c{i}"] = offset
+        names.update((f"f{i}_{j}", v) for j, v in pairs)
+        terms.append("".join([f"c{i}"] + [f" + f{i}_{j} * x{j}" for j, _ in pairs]))
+    x = [f"x{j}" for j in range(len(f_rows))]
+    inputs, states = terms[: len(r)], terms[len(r) :]
+    source = f"lambda t, {', '.join(x)}: ((t, {', '.join(x + inputs)}), ({', '.join(states)},))"
+    return eval(source, names)
+
+
+def _raise_first_non_finite(rows, n: int, width: int) -> None:
+    """Raise NonFiniteState at the first non-finite value of a run's flat
+    rows (t, x, u), state row 0 aside: step i reads input i before it writes
+    state i + 1, which is the rows' order, and NaN and inf survive + and *."""
+    # a finite sum is the common case; an infinite one may be overflow alone
+    values = islice(rows, 1 + n, None)
+    if math.isfinite(sum(values)) or all(map(math.isfinite, islice(rows, 1 + n, None))):
+        return
+    at = next(k for k in range(1 + n, len(rows)) if not math.isfinite(rows[k]))
+    i, col = divmod(at, width)
+    raise NonFiniteState(f"{'state' if col <= n else 'input'} became non-finite at "
+                         f"t={rows[i * width]:g}")
 
 
 def nonlinear_deriv(p: QuadParams, x, f: RotorForces) -> np.ndarray:
@@ -268,6 +280,7 @@ def nonlinear_deriv(p: QuadParams, x, f: RotorForces) -> np.ndarray:
     sin a -> a, cos a -> 1, T -> m g it reduces exactly to the linear
     6DOF model.
     """
+    import numpy as np
     x = np.asarray(x, dtype=float)
     phi, theta = x[6], x[7]
     thrust = f.f1 + f.f2 + f.f3 + f.f4
@@ -301,6 +314,7 @@ def simulate_nonlinear(
     forces are sampled at each step start and held, mirroring the linear
     simulator so the two runs are comparable sample by sample.
     """
+    import numpy as np
     validate(p)
     if cfg.plant != "nonlinear_6dof":
         raise ValueError("simulate_nonlinear requires cfg.plant = 'nonlinear_6dof'")

@@ -20,31 +20,32 @@ equilibrium input.
 
 Every design checks the closed loop A - B K it produced, chain block by
 chain block: the entries outside the blocks must be exactly 0 on both
-models, and each block of at most four states must be Hurwitz (char_poly
-+ is_hurwitz). The check reads the matrix, and its chain table from the
-matrix's state count. check_sampled_loop applies the same rule to the
-sampled loop Phi - Gamma K of a run on either plant: RK4 with held forces
-is exact on the nilpotent A, so Phi - Gamma K is the nonlinear step's
-Jacobian at hover. A request whose gains are not normal float64 numbers
-(true gains of left-half-plane poles are finite and nonzero), or whose
-check overflows, is refused as a PolePlacementError, not reported as a
-defect; a sampled loop that leaves float64 is unstable at its dt.
+models, and each block of at most four states must be Hurwitz
+(char_poly_rows + is_hurwitz). The check reads the matrix, and its chain
+table from the matrix's state count. check_sampled_loop applies the same
+rule to the sampled loop Phi - Gamma K of a run on either plant: RK4 with
+held forces is exact on the nilpotent A, so Phi - Gamma K is the nonlinear
+step's Jacobian at hover. A request whose gains are not normal float64
+numbers (true gains of left-half-plane poles are finite and nonzero), or
+whose check overflows, is refused as a PolePlacementError, not reported as
+a defect; a sampled loop that leaves float64 is unstable at its dt.
+The gains and the checks run on Python floats without numpy (design_rows,
+check_sampled_rows); the functions on numpy arrays wrap them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain
 
-import numpy as np
+from .linalg import StateSpaceModel, char_poly_rows, expm_rows, is_hurwitz, matmul, solve
+from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, LABELS, model_rows
+from .params import QuadParams, validate
+from .rotor_forces import mixer_inverse_rows
 
-from .linalg import StateSpaceModel, char_poly, is_hurwitz
-from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, build_3dof, build_6dof
-from .params import QuadParams
-from .rotor_forces import mixer_inverse
-from .simulate import zoh_discretize
-
-_NORMAL_MIN = np.finfo(float).tiny
+_NORMAL_MIN = sys.float_info.min
 _OUT_OF_RANGE = ("the requested poles are too extreme for float64: a gain or a "
                  "closed-loop check coefficient overflows or underflows")
 
@@ -130,6 +131,7 @@ class GainMatrix:
     input_labels: tuple[str, ...]
 
     def __post_init__(self):
+        import numpy as np
         k = np.array(self.K, dtype=float)
         if k.shape != (len(self.input_labels), len(self.state_labels)):
             raise PolePlacementError(
@@ -144,29 +146,38 @@ class GainMatrix:
     def feedback_input(self, x, r=None) -> np.ndarray:
         """u = r - K x (r defaults to zero, the hover equilibrium in the
         deviation coordinates both designs use)."""
+        import numpy as np
         u = -self.K @ np.asarray(x, dtype=float)
         if r is not None:
             u = np.asarray(r, dtype=float) + u
         return u
 
 
-def poles_to_monic(poles) -> np.ndarray:
-    """Expand prod (s - p_i) into real monic coefficients.
-
+def _monic(poles) -> list[float]:
+    """Expand prod (s - p_i) into real monic coefficients, grouping the
+    real and imaginary products as np.convolve's dot sums them, to the bit.
     Conjugate-closed inputs are required, so the imaginary residue is pure
-    rounding; it is checked and dropped.
-    """
-    coeffs = np.array([1.0 + 0.0j])
-    for s in poles:
-        coeffs = np.convolve(coeffs, np.array([1.0, -complex(s)]))
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if float(np.max(np.abs(coeffs.imag))) > 1e-9 * scale:
+    rounding; it is checked and dropped."""
+    re, im = [1.0], [0.0]
+    for s in map(complex, poles):
+        tr, ti = -s.real, -s.imag
+        lr, li, hr, hi = [0.0] + re, [0.0] + im, re + [0.0], im + [0.0]
+        re, im = ([(xr * tr + yr) - xi * ti for xr, xi, yr in zip(lr, li, hr)],
+                  [xr * ti + (xi * tr + yi) for xr, xi, yi in zip(lr, li, hi)])
+    scale = max(1.0, max(map(abs, map(complex, re, im))))
+    if any(abs(v) > 1e-9 * scale for v in im):
         raise PolePlacementError(f"pole set {tuple(poles)!r} is not conjugate-closed")
-    return coeffs.real
+    return re
+
+
+def poles_to_monic(poles) -> np.ndarray:
+    """_monic as a float64 array."""
+    import numpy as np
+    return np.array(_monic(poles))
 
 
 def place_integrator_chain(chain_order: int, input_gain: float, poles) -> np.ndarray:
-    """Gain row stabilizing a pure integrator chain.
+    """Gain row stabilizing a pure integrator chain, as a float64 array.
 
     chain_order   number of integrators (the chain's state dimension)
     input_gain    scalar b in w_k' = b u; must be nonzero
@@ -175,25 +186,24 @@ def place_integrator_chain(chain_order: int, input_gain: float, poles) -> np.nda
     Returns gains (k_1 ... k_k) on the chain states ordered most-integrated
     first, so that u = -sum k_j w_j gives the target polynomial exactly.
     """
+    import numpy as np
     poles = _validate_pole_set("chain", tuple(poles))
     if len(poles) != chain_order:
         raise PoleCountMismatch(
             f"chain of order {chain_order} needs exactly {chain_order} poles, "
             f"got {len(poles)}"
         )
-    return _chain_row(input_gain, poles)
+    return np.array(_chain_row(input_gain, poles))
 
 
-def _chain_row(input_gain: float, poles: tuple[complex, ...]) -> np.ndarray:
+def _chain_row(input_gain: float, poles: tuple[complex, ...]) -> list[float]:
     """place_integrator_chain for poles already validated and counted, as
     a PoleSpec's are."""
     if input_gain == 0.0 or not math.isfinite(input_gain):
         raise ZeroInputGain(f"input gain must be nonzero and finite, got {input_gain!r}")
-    target = poles_to_monic(poles)  # [1, a1, ..., ak]
-    return target[1:][::-1] / input_gain
+    return [a / input_gain for a in reversed(_monic(poles)[1:])]  # [1, a1, ..., ak]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # refused, not warned of
 def design_6dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     """4x12 feedback gain for the 6DOF model, one chain per input row.
 
@@ -201,14 +211,9 @@ def design_6dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     flip sign relative to the roll->y chain; the per-chain check of
     A - B K at the end would catch any regression there.
     """
-    model = build_6dof(p)  # validates p first
-    _check_pole_counts(spec, CHAINS_6DOF, "6DOF", "chain")
-    K = _chain_gains(p, spec, CHAINS_6DOF, model.n)
-    _check_closed_loop(model, K)
-    return GainMatrix(K, model.state_labels, model.input_labels)
+    return GainMatrix(design_rows(p, spec, 6), *LABELS[6][:2])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def design_3dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     """4x6 feedback gain for the 3DOF model, in rotor-force input space.
 
@@ -218,120 +223,122 @@ def design_3dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
     never see total thrust, so the offset is free and zero keeps gains
     small).
     """
-    model = build_3dof(p)  # validates p first
-    _check_pole_counts(spec, CHAINS_3DOF, "3DOF", "axis")
-    K = mixer_inverse(p)[:, 1:] @ _chain_gains(p, spec, CHAINS_3DOF, model.n)[1:]
-    _check_closed_loop(model, K)
-    return GainMatrix(K, model.state_labels, model.input_labels)
+    return GainMatrix(design_rows(p, spec, 3), *LABELS[3][:2])
 
 
-def _check_pole_counts(spec: PoleSpec, chains, model: str, noun: str) -> None:
-    """Each chain of the table gets its own count; a chain the model lacks gets none."""
-    sizes = {ch.name: len(ch.states) for ch in chains}
+def design_rows(p: QuadParams, spec: PoleSpec, dof: int) -> list[list[float]]:
+    """The checked K of design_6dof_gains or design_3dof_gains, as lists."""
+    validate(p)
+    chains = CHAINS[dof]
+    sizes = {ch.name: len(ch.states) for ch in chains}  # a chain the model lacks gets none
     for name, poles in vars(spec).items():
-        got, need = len(poles), sizes.get(name, 0)
-        if got != need:
-            raise PoleCountMismatch(f"{model} {name} {noun} needs {need} poles, got {got}")
+        if len(poles) != sizes.get(name, 0):
+            raise PoleCountMismatch(f"{dof}DOF {name} {'chain' if dof == 6 else 'axis'} needs "
+                                    f"{sizes.get(name, 0)} poles, got {len(poles)}")
+    a, b = model_rows(p, dof)
+    K = _chain_gains(p, spec, chains, len(a))
+    if dof == 3:
+        K = matmul([row[1:] for row in mixer_inverse_rows(p)], K[1:])
+    _check_closed_loop(a, b, K)
+    return K
 
 
-def _chain_gains(p: QuadParams, spec: PoleSpec, chains, n: int) -> np.ndarray:
+def _chain_gains(p: QuadParams, spec: PoleSpec, chains, n: int) -> list[list[float]]:
     """4 x n gains in generalized-input space, one row per chain's input."""
-    K = np.zeros((4, n))
+    K = [[0.0] * n for _ in range(4)]
     for ch in chains:
         s, coupling = ch.states, ch.coupling(p)
         b = coupling / getattr(p, ch.inertia)
-        k = _chain_row(b, getattr(spec, ch.name))
-        for j, kj in enumerate(k.tolist()):
+        for j, kj in enumerate(_chain_row(b, getattr(spec, ch.name))):
             # derivative coordinates scale the chain's (angle, rate) by its coupling
             kj = kj * coupling if j >= len(s) - 2 else kj
             if not _NORMAL_MIN <= abs(kj) < math.inf:
                 raise PolePlacementError(_OUT_OF_RANGE)
-            K[ch.input_row, s[j]] = kj
+            K[ch.input_row][s[j]] = kj
     return K
 
 
-def _check_closed_loop(model: StateSpaceModel, K: np.ndarray) -> None:
-    if not _chains_stable(model.A, model.B, K, sampled=False):
+def _check_closed_loop(a, b, K) -> None:
+    if not _chains_stable(a, b, K, sampled=False):
         raise InternalStabilityCheckFailed(
             "synthesized closed loop is not Hurwitz; this indicates a defect "
             "in the chain/gain bookkeeping, not in the request"
         )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite loop is unstable
 def check_sampled_loop(model: StateSpaceModel, K, dt: float) -> None:
     """Raise UnstableSampledLoop unless the exact-ZOH closed loop
     x+ = (Phi - Gamma K) x of the model at step dt is stable, chain block
     by chain block under the same off-block rule as the designs."""
-    phi, gamma = zoh_discretize(model, dt)
-    if not _chains_stable(phi, gamma, np.asarray(K, dtype=float), sampled=True):
+    import numpy as np
+    check_sampled_rows(model.A.tolist(), model.B.tolist(), np.asarray(K, dtype=float).tolist(), dt)
+
+
+def check_sampled_rows(a, b, K, dt: float) -> None:
+    """check_sampled_loop for A, B and K given as nested lists."""
+    phi, gamma = expm_rows(a, b, dt)
+    if not _chains_stable(phi, gamma, K, sampled=True):
         raise UnstableSampledLoop(
             f"the sampled closed loop Phi - Gamma K is unstable at dt={dt:g}; "
             "use a smaller --dt or slower poles"
         )
 
 
-def _block_layout(chains):
-    """Where a chain table puts its blocks in an n x n matrix: the mask of
-    the entries outside every block, and per block size a pair of index
-    arrays that cuts all blocks of that size out as one stack."""
-    n = sum(len(ch.states) for ch in chains)
-    outside = np.ones((n, n), dtype=bool)
-    by_size: dict[int, list] = {}
-    for ch in chains:
-        outside[np.ix_(ch.states, ch.states)] = False
-        by_size.setdefault(len(ch.states), []).append(ch.states)
-    stacks = tuple((i[:, :, None], i[:, None, :]) for i in map(np.array, by_size.values()))
-    return outside, stacks
+# each model's chain table and the entries outside its blocks, by state count
+_TABLES = {sum(len(ch.states) for ch in chains): chains for chains in CHAINS.values()}
+_OUTSIDE = {n: [(i, j) for ch in chains for i in ch.states for j in range(n) if j not in ch.states]
+            for n, chains in _TABLES.items()}
 
 
-# the block layout of each model's chain table, keyed by its state count
-_LAYOUTS = {len(layout[0]): layout for layout in map(_block_layout, CHAINS.values())}
+def _bilinear(d):
+    """W = (F - I)(F + I)^-1 of a sampled block d = F - I (the factors
+    commute), scaled to unit size by a power of two, exactly, so a slow
+    loop's coefficients do not underflow; None when F + I is singular."""
+    w = solve([[x + 2.0 if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(d)], d)
+    if w is None:
+        return None
+    exponent = math.frexp(max(abs(x) for row in w for x in row))[1]
+    return [[math.ldexp(x, -exponent) for x in row] for row in w]
 
 
-def _chains_stable(a: np.ndarray, b: np.ndarray, K: np.ndarray, sampled: bool) -> bool:
+def _chains_stable(a, b, K, sampled: bool) -> bool:
     """True iff every entry of a - b K outside the blocks of the chain
     table with a's state count is exactly 0, and every chain block of
-    a - b K is stable. b K sums separately rounded products, which the
-    3DOF mixer's +- pairs cancel exactly; a fused multiply-add would not.
+    a - b K is stable, for nested lists. b K sums separately rounded
+    products, which the 3DOF mixer's +- pairs cancel exactly; a fused
+    multiply-add would not.
 
     Continuous blocks must be Hurwitz. A sampled block F must have every
     eigenvalue strictly inside the unit circle; the bilinear map
     W = (F - I)(F + I)^-1 takes those to the open left half-plane, so W
-    must be Hurwitz, and a singular F + I (an eigenvalue at -1) fails.
+    must be Hurwitz, and a singular F + I (an exactly zero pivot) fails.
     F - I is (a - I) - b K, which keeps the slow poles that 1 + (F - I)
     rounds away: a = Phi has a unit diagonal, so a - I is exact.
-    Blocks of equal size go through char_poly as one stack. A continuous
-    loop whose products overflow raises PolePlacementError; a sampled loop
-    that is not finite is not stable.
+    Blocks go through char_poly_rows in table order. A continuous loop
+    whose products overflow raises PolePlacementError; a sampled loop that
+    is not finite is not stable.
     """
-    if len(a) not in _LAYOUTS:
+    if len(a) not in _TABLES:
         raise ValueError(f"no chain table has {len(a)} states; a closed loop has "
-                         + " or ".join(map(str, _LAYOUTS)))
-    outside, stacks = _LAYOUTS[len(a)]
-    if sampled:
-        a = a - np.eye(len(a))
-    closed = a - (b[:, :, None] * K).sum(axis=1)
-    if not (sampled or np.isfinite(closed).all()):
+                         + " or ".join(map(str, _TABLES)))
+    bk = matmul(b, K)
+    closed = [[x - y for x, y in zip(ra, rk)] for ra, rk in zip(a, bk)]
+    if sampled:  # F - I: a - I first on the diagonal, then - b K
+        for i, row in enumerate(closed):
+            row[i] = (a[i][i] - 1.0) - bk[i][i]
+    if not (sampled or all(map(math.isfinite, chain.from_iterable(closed)))):
         raise PolePlacementError(_OUT_OF_RANGE)
-    if closed[outside].any():
+    if any(closed[i][j] for i, j in _OUTSIDE[len(a)]):
         return False
-    for rows, cols in stacks:
-        stack = closed[rows, cols]
-        if sampled:
-            eye = np.eye(stack.shape[-1])
-            try:  # F - I and (F + I)^-1 commute
-                stack = np.linalg.solve(stack + 2.0 * eye, stack)
-            except np.linalg.LinAlgError:
-                return False
-            # to unit size by a power of two, exactly, so that a slow loop's
-            # coefficients do not underflow; a positive scale keeps Hurwitz
-            exponent = np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1]
-            stack = np.ldexp(stack, -exponent[:, None, None])
-        polys = char_poly(stack)
-        finite = np.isfinite(polys).all()
+    for ch in _TABLES[len(a)]:
+        block = [[closed[i][j] for j in ch.states] for i in ch.states]
+        if sampled and (block := _bilinear(block)) is None:
+            return False
+        poly = char_poly_rows(block)
+        finite = all(map(math.isfinite, poly))
         if not (sampled or finite):
             raise PolePlacementError(_OUT_OF_RANGE)
-        if not (finite and all(map(is_hurwitz, polys))):
+        if not (finite and is_hurwitz(poly)):
             return False
     return True

@@ -237,16 +237,6 @@ def test_char_poly_of_block_diagonal_is_product():
         assert_close(char_poly(block), product, rel=1e-10)
 
 
-def test_char_poly_of_a_stack_is_per_block():
-    rng = np.random.default_rng(29)
-    for n in (1, 2, 4):
-        stack = rng.normal(size=(3, n, n))
-        polys = char_poly(stack)
-        assert polys.shape == (3, n + 1)
-        for block, poly in zip(stack, polys):
-            assert np.array_equal(poly, char_poly(block))
-
-
 def test_char_poly_of_a_20_state_shift_is_lambda_to_the_20():
     expected = np.zeros(21)
     expected[0] = 1.0

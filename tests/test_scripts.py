@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("pole,code,line", [
     pytest.param("-3000", 4, "closed_loop_demo.py: simulation refused: the sampled closed loop "
-                 "Phi - Gamma K is unstable at dt=0.001; use a smaller --dt or slower poles",
+                 "Phi - Gamma K is unstable at the demo's fixed 1 ms step; use a slower --pole",
                  id="unstable-at-dt"),
     pytest.param("-1e60", 2, "closed_loop_demo.py: error: the requested poles are too extreme "
                  "for float64: a gain or a closed-loop check coefficient overflows or underflows",

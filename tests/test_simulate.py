@@ -314,8 +314,10 @@ def test_rk4_linear_run_blames_the_input_before_the_step(params):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_feedback_open_loop_matches_callable_path_to_the_bit(params, seed):
-    # K = 0 holds u = r, as the CLI's open loop does; every state and input
-    # must carry the callable path's bytes, the sign of a zero included
+    # K = 0 holds u = r, as the CLI's open loop does; every time and input
+    # must carry the callable path's bytes, the sign of a zero included. The
+    # states are summed per row over the nonzeros, which rounds differently
+    # from a BLAS matvec: within 1e-12 of each column's max |value|
     rng = np.random.default_rng(seed)
     m = build_6dof(params) if seed % 2 else build_3dof(params)
     x0 = rng.choice([-0.0, 0.0, -1.0, 1.0], size=m.n) * rng.uniform(0, 2, size=m.n)
@@ -325,9 +327,10 @@ def test_feedback_open_loop_matches_callable_path_to_the_bit(params, seed):
     cfg = SimConfig(t_final=0.3, dt=float(rng.choice([1e-4, 1e-3, 1e-2])))
     fast = simulate_feedback(m, x0, np.zeros((m.p, m.n)), r, cfg)
     ref = simulate(m, x0, lambda t, x: r, cfg)
-    for got, want in ((fast.times, ref.times), (fast.states, ref.states),
-                      (fast.inputs, ref.inputs)):
+    for got, want in ((fast.times, ref.times), (fast.inputs, ref.inputs)):
         assert got.tobytes() == want.tobytes()
+    scale = np.abs(ref.states).max(axis=0)
+    assert np.all(np.abs(fast.states - ref.states) <= 1e-12 * scale)
     assert (fast.state_labels, fast.input_labels) == (ref.state_labels, ref.input_labels)
 
 
@@ -354,6 +357,20 @@ def test_feedback_closed_loop_matches_callable_path(params, dof, pole, dt):
     assert np.array_equal(fast.times, ref.times)
     assert np.max(np.abs(fast.states - ref.states)) <= 1e-9 * scale
     assert np.max(np.abs(fast.inputs - ref.inputs)) <= 1e-9 * scale * np.max(np.abs(K))
+
+
+def test_feedback_keeps_an_unexcited_3dof_axis_exactly_at_rest(params):
+    # the mixer's +- products cancel exactly in Gamma r and Gamma K when each
+    # is summed from separately rounded products, so the axes x0 leaves at
+    # rest stay at 0.0; a BLAS product's fused multiply-adds left ~1e-20 there
+    m = build_3dof(params)
+    K = design_3dof_gains(params, PoleSpec.uniform_3dof(-2.0)).K
+    x0 = np.zeros(6)
+    x0[0] = 0.1
+    r = np.full(4, hover_thrust_per_rotor(params))
+    traj = simulate_feedback(m, x0, K, r, SimConfig(t_final=2.0, dt=1e-3))
+    assert not traj.states[:, [1, 2, 4, 5]].any()
+    assert traj.states[:, [0, 3]].all(axis=1)[1:].all()
 
 
 def test_feedback_divergence_is_reported_like_the_callable_path(params):

@@ -67,6 +67,41 @@ def pole_sets_6dof():
 # ---------------------------------------------------------------- chain placement
 
 
+def _convolved_monic(poles):
+    """prod (s - p_i) by repeated np.convolve, real part: the expansion the
+    gains were formed from before the Python-float core."""
+    coeffs = np.array([1.0 + 0.0j])
+    for s in poles:
+        coeffs = np.convolve(coeffs, np.array([1.0, -complex(s)]))
+    return coeffs.real
+
+
+_magnitude = st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def conjugate_closed_poles(draw):
+    """2 or 4 poles: each pair is a conjugate pair or two real poles."""
+    poles = []
+    for _ in range(draw(st.sampled_from([1, 2]))):
+        re = -draw(_magnitude)
+        if draw(st.booleans()):
+            im = draw(_magnitude)
+            poles += [complex(re, im), complex(re, -im)]
+        else:
+            poles += [complex(re, 0.0), complex(-draw(_magnitude), 0.0)]
+    return draw(st.permutations(poles))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(poles=conjugate_closed_poles())
+def test_pole_expansion_matches_convolve_to_the_bit(poles):
+    # the gains, and so the --gains-out bytes, are these coefficients over
+    # the input gain; numpy's convolve sums each coefficient with a complex
+    # dot product, which the Python expansion groups the same way
+    assert poles_to_monic(poles).tobytes() == _convolved_monic(poles).tobytes()
+
+
 def test_chain_gains_double_integrator():
     gains = place_integrator_chain(2, 1.0, (-1.0, -2.0))
     # target (s+1)(s+2) = s^2 + 3 s + 2 -> gains (2, 3) on (position, rate)
@@ -299,7 +334,7 @@ def test_a_zero_gain_at_desk_poles_is_a_defect_not_a_range_error(params):
     K = design_6dof_gains(params, PoleSpec.uniform_6dof(-2.0)).K.copy()
     K.flat[np.flatnonzero(K)[0]] = 0.0
     with pytest.raises(InternalStabilityCheckFailed):
-        _check_closed_loop(m, K)
+        _check_closed_loop(m.A, m.B, K)
 
 
 @pytest.mark.parametrize("dt", [1e80, 1e300])
