@@ -8,10 +8,9 @@ the claim that matters is "not asymptotically stable".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .linalg import StateSpaceModel, char_poly, is_hurwitz, nilpotency_index, rank
 
 STRICTLY_STABLE = "strictly_stable"
@@ -20,8 +19,7 @@ MARGINAL_OR_UNSTABLE = "marginal_or_unstable"
 RANK_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     controllability_rank: int
     observability_rank: int
     is_controllable: bool

@@ -5,7 +5,7 @@ inputs.
 Exit codes are fixed for scriptability:
     0  success
     2  input problem (missing/garbled file, bad flag combination, bad spec,
-       poles too extreme for float64)
+       poles or mix/demix values too extreme for float64)
     3  physical parameter validation failure
     4  runtime failure: a simulation left the finite floats, a closed-loop
        run on either plant whose sampled loop Phi - Gamma K is unstable at
@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, fields
 
 from .linalg import StateSpaceModel
 from .models import CHAINS, LABELS, ROTOR_FORCE_LABELS, build_3dof, build_6dof, model_rows
@@ -53,8 +52,8 @@ EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
-PARAM_KEYS = tuple(f.name for f in fields(QuadParams) if f.default is MISSING)
-OPTIONAL_PARAM_KEYS = tuple(f.name for f in fields(QuadParams) if f.default is not MISSING)
+OPTIONAL_PARAM_KEYS = tuple(QuadParams._field_defaults)
+PARAM_KEYS = tuple(k for k in QuadParams._fields if k not in OPTIONAL_PARAM_KEYS)
 
 DEFAULT_POLE = -2.0
 
@@ -81,10 +80,11 @@ def load_params(path: str) -> QuadParams:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"parameter file {path!r} is not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:  # an integer of over 4300 digits, deep nesting
+        raise InputError(f"parameter file {path!r} cannot be parsed: {e}") from e
     if not isinstance(doc, dict):
         raise InputError(f"parameter file {path!r} must hold a JSON object")
-    allowed = set(PARAM_KEYS) | set(OPTIONAL_PARAM_KEYS)
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(set(doc) - set(QuadParams._fields))
     if unknown:
         raise InputError(f"parameter file {path!r} has unknown keys: {', '.join(unknown)}")
     missing = [k for k in PARAM_KEYS if k not in doc]
@@ -94,7 +94,10 @@ def load_params(path: str) -> QuadParams:
     for key, value in doc.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputError(f"parameter {key!r} must be a number, got {value!r}")
-        values[key] = float(value)
+        try:
+            values[key] = float(value)
+        except OverflowError:  # an integer beyond float64 reads as 1e400 does
+            values[key] = math.inf if value > 0 else -math.inf
     return validate(QuadParams(**values))
 
 
@@ -233,10 +236,6 @@ def _blocks(traj: Trajectory):
         yield np.column_stack([a[lo : lo + CSV_BLOCK_ROWS] for a in arrays]).ravel().tolist()
 
 
-def _fmt12(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def cmd_model(args) -> int:
     p = load_params(args.params)
     model = build_3dof(p) if args.dof == 3 else build_6dof(p)
@@ -252,7 +251,7 @@ def cmd_analyze(args) -> int:
 
     p = load_params(args.params)
     model = build_3dof(p) if args.dof == 3 else build_6dof(p)
-    print(json.dumps(asdict(analyze(model)), indent=2))
+    print(json.dumps(vars(analyze(model)), indent=2))
     return EXIT_OK
 
 
@@ -340,25 +339,20 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
-def cmd_mix(args) -> int:
+def cmd_convert(args) -> int:
+    """mix or demix: finite values whose result leaves float64 are an input error."""
+    given, convert, result = ((RotorForces, mix, "the generalized input") if args.command == "mix"
+                              else (GeneralizedInput, demix, "a rotor force"))
     p = load_params(args.params)
     try:
-        forces = RotorForces(*args.forces)
+        value = given(*args.values)
     except ValueError as e:
         raise InputError(str(e)) from e
-    u = mix(forces, p)
-    print(" ".join(_fmt12(v) for v in u.as_tuple()))
-    return EXIT_OK
-
-
-def cmd_demix(args) -> int:
-    p = load_params(args.params)
     try:
-        u = GeneralizedInput(*args.inputs)
-    except ValueError as e:
-        raise InputError(str(e)) from e
-    forces = demix(u, p)
-    print(" ".join(_fmt12(v) for v in forces.as_tuple()))
+        out = convert(value, p)
+    except ValueError:
+        raise InputError(f"the values are too extreme for float64: {result} overflows") from None
+    print(" ".join(f"{v:.12g}" for v in out.as_tuple()))
     return EXIT_OK
 
 
@@ -406,13 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mix", help="rotor forces -> generalized input (U1..U4)")
     sp.add_argument("--params", required=True, metavar="FILE")
-    sp.add_argument("forces", type=float, nargs=4, metavar="F")
-    sp.set_defaults(func=cmd_mix)
+    sp.add_argument("values", type=float, nargs=4, metavar="F")
+    sp.set_defaults(func=cmd_convert)
 
     sp = sub.add_parser("demix", help="generalized input -> rotor forces (F1..F4)")
     sp.add_argument("--params", required=True, metavar="FILE")
-    sp.add_argument("inputs", type=float, nargs=4, metavar="U")
-    sp.set_defaults(func=cmd_demix)
+    sp.add_argument("values", type=float, nargs=4, metavar="U")
+    sp.set_defaults(func=cmd_convert)
 
     return parser
 

@@ -15,8 +15,9 @@ chain block with char_poly_rows + is_hurwitz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, compress
+
+from ._record import Record
 
 
 class DimensionMismatch(ValueError):
@@ -267,8 +268,7 @@ def is_hurwitz(coeffs) -> bool:
     return prev[0] > 0
 
 
-@dataclass(frozen=True)
-class StateSpaceModel:
+class StateSpaceModel(Record):
     """Continuous-time LTI quadruple dx/dt = A x + B u, y = C x + D u,
     with labelled state, input, and output coordinates.
 
@@ -293,7 +293,7 @@ class StateSpaceModel:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            vars(self)[name] = arr
         n, p, q = self.A.shape[0], self.B.shape[1], self.C.shape[0]
         if self.A.shape != (n, n):
             raise DimensionMismatch(f"A must be square, got {self.A.shape}")
@@ -307,7 +307,7 @@ class StateSpaceModel:
             labels = tuple(str(s) for s in getattr(self, name))
             if len(labels) != count:
                 raise DimensionMismatch(f"{name} must have {count} entries, got {len(labels)}")
-            object.__setattr__(self, name, labels)
+            vars(self)[name] = labels
 
     @property
     def n(self) -> int:

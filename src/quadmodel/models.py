@@ -23,8 +23,7 @@ and B as nested lists, without numpy, for the linear `quadmodel sim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .linalg import StateSpaceModel
 from .params import QuadParams, validate
 from .rotor_forces import mixer_rows
@@ -43,8 +42,7 @@ DOF6_INPUT_LABELS = ("U1", "U2", "U3", "U4")
 DOF6_OUTPUT_LABELS = ("x", "y", "z", "phi", "theta", "psi")
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """One chain of integrators, driven by one row of (U1, U2, U3, U4).
 
     name        its PoleSpec field

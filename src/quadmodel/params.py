@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+
+from ._record import Record
 
 
 class ParameterError(ValueError):
@@ -25,8 +26,7 @@ class NonFiniteParameter(ParameterError):
         super().__init__(name, value, "must be finite")
 
 
-@dataclass(frozen=True)
-class QuadParams:
+class QuadParams(Record):
     """Physical constants every model builder and simulator consumes.
 
     m          total mass                              (kg)
@@ -56,14 +56,13 @@ def validate(p: QuadParams) -> QuadParams:
     offending field, or ParameterError naming the divisor of the first
     quotient that overflows (Ix = 1e-310 makes 1/Ix infinite).
     """
-    for f in fields(p):
-        v = getattr(p, f.name)
+    for name, v in zip(p._fields, p.as_tuple()):
         if not (isinstance(v, (int, float)) and not isinstance(v, bool)):
-            raise NonFiniteParameter(f.name, v)
+            raise NonFiniteParameter(name, v)
         if not math.isfinite(v):
-            raise NonFiniteParameter(f.name, v)
+            raise NonFiniteParameter(name, v)
         if v <= 0.0:
-            raise NonPositiveParameter(f.name, v)
+            raise NonPositiveParameter(name, v)
     arm = max(1.0, p.d, p.g)
     for name, quotient in (
         ("m", 1.0 / p.m),

@@ -10,8 +10,8 @@ Counter-clockwise reaction torque is positive, so rotors 2 and 4 contribute
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .params import QuadParams
 
 # Tilt magnitude beyond which sin(a) ~ a stops being a good approximation.
@@ -33,8 +33,7 @@ def _require_finite(kind: str, values: tuple[float, ...]) -> None:
             raise ValueError(f"{kind} components must be finite, got {values!r}")
 
 
-@dataclass(frozen=True)
-class RotorForces:
+class RotorForces(Record):
     """Thrust of each rotor, newtons. Negative values are representable
     (so saturation can be detected) but flagged by is_physical."""
 
@@ -46,12 +45,8 @@ class RotorForces:
     def __post_init__(self):
         _require_finite("rotor forces", self.as_tuple())
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.f1, self.f2, self.f3, self.f4)
 
-
-@dataclass(frozen=True)
-class GeneralizedInput:
+class GeneralizedInput(Record):
     """Net upward force above weight plus the three body torques."""
 
     u1: float  # T - m*g       (N)
@@ -61,9 +56,6 @@ class GeneralizedInput:
 
     def __post_init__(self):
         _require_finite("generalized input", self.as_tuple())
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.u1, self.u2, self.u3, self.u4)
 
 
 def mixer_rows(p: QuadParams) -> list[list[float]]:

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
 
+from ._record import Record
 from .linalg import StateSpaceModel, expm_rows, matmul, nonzeros
 from .models import DOF6_STATE_LABELS, ROTOR_FORCE_LABELS
 from .params import QuadParams, validate
@@ -60,8 +59,7 @@ def _n_steps(t_final: float, dt: float) -> int:
     return max(1, math.ceil(t_final / dt - 1e-9))
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Run settings: horizon, step, integrator, and which plant to drive."""
 
     t_final: float
@@ -90,8 +88,7 @@ class SimConfig:
         return _n_steps(self.t_final, self.dt)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Uniformly sampled run: times (N,), states (N, n), inputs (N, p).
 
     The input row i is the value held over [t_i, t_i + dt); the final row

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain
 
+from ._record import Record
 from .linalg import StateSpaceModel, char_poly_rows, expm_rows, is_hurwitz, matmul, solve
 from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, LABELS, model_rows
 from .params import QuadParams, validate
@@ -96,8 +96,7 @@ def _validate_pole_set(name: str, poles: tuple) -> tuple[complex, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class PoleSpec:
+class PoleSpec(Record):
     """Desired closed-loop pole multisets per chain: one pole per state of
     the chain in models.CHAINS_6DOF or models.CHAINS_3DOF, none for a chain
     the model lacks."""
@@ -108,8 +107,8 @@ class PoleSpec:
     yaw: tuple = ()
 
     def __post_init__(self):
-        for name in ("z", "roll", "pitch", "yaw"):
-            object.__setattr__(self, name, _validate_pole_set(name, getattr(self, name)))
+        for name, poles in zip(self._fields, self.as_tuple()):
+            vars(self)[name] = _validate_pole_set(name, poles)
 
     @classmethod
     def uniform_6dof(cls, pole: complex = -2.0) -> "PoleSpec":
@@ -122,8 +121,7 @@ class PoleSpec:
         return cls(**{ch.name: (pole,) * len(ch.states) for ch in CHAINS_3DOF})
 
 
-@dataclass(frozen=True)
-class GainMatrix:
+class GainMatrix(Record):
     """Feedback gains for u = r - K x, with the target model's labels."""
 
     K: np.ndarray
@@ -139,9 +137,8 @@ class GainMatrix:
                 f"({len(self.input_labels)} inputs, {len(self.state_labels)} states)"
             )
         k.setflags(write=False)
-        object.__setattr__(self, "K", k)
-        object.__setattr__(self, "state_labels", tuple(self.state_labels))
-        object.__setattr__(self, "input_labels", tuple(self.input_labels))
+        vars(self).update(K=k, state_labels=tuple(self.state_labels),
+                          input_labels=tuple(self.input_labels))
 
     def feedback_input(self, x, r=None) -> np.ndarray:
         """u = r - K x (r defaults to zero, the hover equilibrium in the

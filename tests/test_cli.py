@@ -201,6 +201,17 @@ def test_mix_demix_round_trip(capsys, params_file):
     assert back == pytest.approx([0.3, -0.02, 0.015, -0.004], rel=1e-9)
 
 
+@pytest.mark.parametrize("command,values,result", [
+    ("mix", ["1e308", "1e308", "0", "0"], "the generalized input"),
+    ("demix", ["1e308", "0", "0", "1e308"], "a rotor force"),
+])
+def test_finite_values_whose_result_overflows_are_exit_2(capsys, params_file, command, values,
+                                                         result):
+    code, out, err = run(capsys, command, "--params", params_file, *values)
+    assert code == 2 and out == ""
+    assert err == f"quadmodel: error: the values are too extreme for float64: {result} overflows\n"
+
+
 # ---------------------------------------------------------------- error contract
 
 
@@ -231,6 +242,29 @@ def test_garbled_json_is_exit_2(capsys, tmp_path):
     path.write_text("{not json")
     code, out, err = run(capsys, "model", "--dof", "6", "--params", str(path))
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_integer_beyond_float64_reads_as_infinite(capsys, tmp_path, sign):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"m": {sign}1{"0" * 400}, "d": 0.25, "c": 0.01, '
+                    f'"Ix": 0.01, "Iy": 0.01, "Iz": 0.02}}')
+    code, out, err = run(capsys, "model", "--dof", "6", "--params", str(path))
+    assert code == 3 and out == ""
+    assert err == f"quadmodel: invalid parameters: parameter m must be finite (got {sign}inf)\n"
+
+
+@pytest.mark.parametrize("text", [
+    '{"m": 1' + "0" * 4999 + ', "d": 0.25, "c": 0.01, "Ix": 0.01, "Iy": 0.01, "Iz": 0.02}',
+    "[" * 100_000 + "]" * 100_000,
+], ids=["5000-digit integer", "deep nesting"])
+def test_json_python_cannot_parse_is_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "unparsable.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "model", "--dof", "6", "--params", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"quadmodel: error: parameter file {str(path)!r} cannot be parsed: ")
+    assert err.count("\n") == 1
 
 
 def test_non_numeric_value_is_exit_2(capsys, tmp_path):
