@@ -10,9 +10,10 @@ decays once the repeated-pole polynomial transients die off.
 Usage: python scripts/closed_loop_demo.py [--params FILE] [--pole -2.0]
        [--out traj.csv]
 
-Like `quadmodel sim`, it refuses poles too extreme for float64 (exit 2) and
-a sampled loop that is unstable at its 1 ms step (exit 4) with one line on
-stderr, before it prints or writes anything.
+Like `quadmodel sim`, it refuses poles whose gains or closed loop leave
+float64 (exit 2, such as -1e80) and a sampled loop that is unstable at its
+1 ms step (exit 4, such as -3000 or -1e60) with one line on stderr, before
+it prints or writes anything.
 """
 
 import argparse

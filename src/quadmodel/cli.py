@@ -5,7 +5,7 @@ inputs.
 Exit codes are fixed for scriptability:
     0  success
     2  input problem (missing/garbled file, bad flag combination, bad spec,
-       poles or mix/demix values too extreme for float64)
+       poles whose gains leave float64, mix/demix values that overflow)
     3  physical parameter validation failure
     4  runtime failure: a simulation left the finite floats, a closed-loop
        run on either plant whose sampled loop Phi - Gamma K is unstable at

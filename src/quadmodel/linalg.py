@@ -2,20 +2,20 @@
 
 The matrices in this problem are tiny (at most 12x48, or 72x12) with
 exact-formula entries, mostly exact zeros. The core (nonzeros, matmul,
-expm_rows, char_poly_rows, solve, is_hurwitz) works on nested lists of
-Python floats, skips those zeros and imports no numpy. The functions that take or return
+expm_rows, char_poly_ints, is_hurwitz_ints) works on nested lists of
+Python numbers, skips those zeros and imports no numpy. The functions that take or return
 float64 arrays import numpy when first called. Rank is decided by Gaussian
 elimination with partial pivoting rather than singular values, and
-characteristic polynomials by the Faddeev-LeVerrier recursion. A general
-eigensolver is deliberately avoided: the open-loop models are nilpotent
-(spectrum identically zero), and a closed loop is checked chain block by
-chain block with char_poly_rows + is_hurwitz.
+characteristic polynomials exactly, by the Faddeev-LeVerrier recursion on
+Python ints. A general eigensolver is deliberately avoided: the open-loop
+models are nilpotent (spectrum identically zero), and a closed loop is
+checked chain block by chain block with char_poly_ints + is_hurwitz_ints.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
+from itertools import compress
 
 from ._record import Record
 
@@ -130,13 +130,13 @@ def nonzeros(m, scale: float = 1.0) -> list[list[tuple[int, float]]]:
     return [[(k, row[k] * scale) for k in compress(range(len(row)), row)] for row in m]
 
 
-def _row_times(pairs, rows) -> dict:
-    """sum_k v rows[k] over the (k, v) pairs, each row of rows given as its
-    (column, entry) pairs, as a dict of the columns that got a product."""
+def _row_times(pairs, rows, zero=0.0) -> dict:
+    """zero + sum_k v rows[k] over the (k, v) pairs, each row of rows given
+    as its (column, entry) pairs, as a dict of the columns that got a product."""
     acc: dict = {}
     for k, v in pairs:
         for c, x in rows[k]:
-            acc[c] = acc.get(c, 0.0) + v * x
+            acc[c] = acc.get(c, zero) + v * x
     return acc
 
 
@@ -182,50 +182,53 @@ def expm_nilpotent(a, t: float) -> np.ndarray:
     return np.array(expm_rows(m.tolist(), [[]] * len(m), t)[0]).reshape(m.shape)
 
 
-def char_poly_rows(a) -> list[float]:
-    """Monic characteristic polynomial [1, c1, ..., cn] of det(lambda I - A)
-    for a nested-list A (Faddeev-LeVerrier, on sparse rows). Once some M_k
-    leaves the finite floats, c_k on are NaN, as a dense product's 0 * inf
-    makes them."""
-    n, a = len(a), nonzeros(a)
-    coeffs, am, c = [1.0], [{} for _ in a], 1.0
+def _as_ints(values) -> tuple[list[int], int]:
+    """Integers n_i and the least shift s >= 0 with v_i = n_i / 2^s, for
+    finite floats v_i, exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    s = max((d.bit_length() for _, d in ratios), default=1) - 1
+    return [n << s - d.bit_length() + 1 for n, d in ratios], s
+
+
+def char_poly_ints(a) -> tuple[list[int], int]:
+    """det(lambda I - 2^s A) = sum C_k lambda^(n-k) for a finite nested-list
+    A, as the integers [1, C_1, ..., C_n] and s; c_k = C_k / 2^(s k).
+    Faddeev-LeVerrier on sparse rows of the integer matrix 2^s A, where
+    C_k = -tr(A M_k) / k divides exactly: nothing rounds or overflows."""
+    n, cols = len(a), [list(compress(range(len(row)), row)) for row in a]
+    ints, s = _as_ints([row[k] for row, c in zip(a, cols) for k in c])
+    ints = iter(ints)
+    a = [[(k, next(ints)) for k in c] for c in cols]
+    coeffs, am, c = [1], [{} for _ in a], 1
     for k in range(1, n + 1):
-        if c != 0.0:  # M_k = A M_(k-1) + c_(k-1) I, in place
+        if c:  # M_k = A M_(k-1) + C_(k-1) I, in place
             for i, row in enumerate(am):
-                row[i] = row.get(i, 0.0) + c
-        if not all(map(math.isfinite, chain.from_iterable(map(dict.values, am)))):
-            return coeffs + [math.nan] * (n + 1 - k)
+                row[i] = row.get(i, 0) + c
         rows = [row.items() for row in am]
-        am = [_row_times(pairs, rows) for pairs in a]
-        c = sum(row.get(i, 0.0) for i, row in enumerate(am)) / -k
-        coeffs.append(c + 0.0)  # map -0.0 coefficients to +0.0
-        if not any(am):  # A M_k = 0 and c_k = 0: so are all later ones
-            return coeffs + [0.0] * (n - k)
-    return coeffs
+        am = [_row_times(pairs, rows, 0) for pairs in a]
+        c = -sum(row.get(i, 0) for i, row in enumerate(am)) // k
+        coeffs.append(c)
+        if not any(am):  # A M_k = 0 and C_k = 0: so are all later ones
+            return coeffs + [0] * (n - k), s
+    return coeffs, s
 
 
 def char_poly(a) -> np.ndarray:
-    """char_poly_rows of one square matrix, as a float64 array."""
+    """Monic characteristic polynomial [1, c1, ..., cn] of det(lambda I - A)
+    for one finite square matrix, as a float64 array of char_poly_ints
+    correctly rounded, +-inf where a coefficient overflows."""
     import numpy as np
-    return np.array(char_poly_rows(_require_square(a).tolist()))
-
-
-def solve(a, b) -> list[list[float]] | None:
-    """X with a X = b for nested lists (Gauss-Jordan, the pivot the first
-    row of largest magnitude), or None when a pivot is exactly 0."""
-    n = len(a)
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(rows[i][col]))
-        pivot_row, rows[piv] = rows[piv], rows[col]
-        if pivot_row[col] == 0.0:
-            return None
-        rows[col] = pivot_row = [v / pivot_row[col] for v in pivot_row]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != col and f != 0.0:
-                rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
-    return [row[n:] for row in rows]
+    m = _require_square(a)
+    if not np.isfinite(m).all():
+        raise ValueError("char_poly needs a finite matrix")
+    coeffs, s = char_poly_ints(m.tolist())
+    out = []
+    for k, c in enumerate(coeffs):
+        try:
+            out.append(c / (1 << s * k) + 0.0)  # map -0.0 to +0.0
+        except OverflowError:
+            out.append(math.inf if c > 0 else -math.inf)
+    return np.array(out)
 
 
 def is_hurwitz(coeffs) -> bool:
@@ -248,9 +251,11 @@ def is_hurwitz(coeffs) -> bool:
         raise ValueError("polynomial degree must be >= 1")
     if c[0] == 0.0 or not all(map(math.isfinite, c)):
         raise ValueError("leading coefficient must be nonzero and finite")
-    parts = [math.frexp(v) for v in c]  # v = m 2^e, and m 2^53 is an integer
-    low = min(e for _, e in parts)
-    c = [int(m * 2.0**53) << (e - low) for m, e in parts]
+    return is_hurwitz_ints(_as_ints(c)[0])
+
+
+def is_hurwitz_ints(c: list[int]) -> bool:
+    """The Routh array of is_hurwitz on integers, leading one nonzero."""
     if c[0] < 0:
         c = [-v for v in c]  # roots are unchanged under scaling
     n = len(c) - 1

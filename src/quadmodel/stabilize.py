@@ -20,17 +20,17 @@ equilibrium input.
 
 Every design checks the closed loop A - B K it produced, chain block by
 chain block: the entries outside the blocks must be exactly 0 on both
-models, and each block of at most four states must be Hurwitz
-(char_poly_rows + is_hurwitz). The check reads the matrix, and its chain
-table from the matrix's state count. check_sampled_loop applies the same
-rule to the sampled loop Phi - Gamma K of a run on either plant: RK4 with
+models, and each block of at most four states must be Hurwitz, exactly
+(char_poly_ints + is_hurwitz_ints). The check reads the matrix, and its
+chain table from the matrix's state count. check_sampled_loop applies the
+same rule to the sampled loop Phi - Gamma K of a run on either plant: RK4 with
 held forces is exact on the nilpotent A, so Phi - Gamma K is the nonlinear
 step's Jacobian at hover. A request whose gains are not normal float64
 numbers (true gains of left-half-plane poles are finite and nonzero), or
-whose check overflows, is refused as a PolePlacementError, not reported as
+whose closed loop overflows, is refused as a PolePlacementError, not reported as
 a defect; a sampled loop that leaves float64 is unstable at its dt.
-The gains and the checks run on Python floats without numpy (design_rows,
-check_sampled_rows); the functions on numpy arrays wrap them.
+The gains and the checks run on Python floats and ints without numpy
+(design_rows, check_sampled_rows); the functions on numpy arrays wrap them.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ import sys
 from itertools import chain
 
 from ._record import Record
-from .linalg import StateSpaceModel, char_poly_rows, expm_rows, is_hurwitz, matmul, solve
+from .linalg import StateSpaceModel, char_poly_ints, expm_rows, is_hurwitz_ints, matmul
 from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, LABELS, model_rows
 from .params import QuadParams, validate
 from .rotor_forces import mixer_inverse_rows
 
 _NORMAL_MIN = sys.float_info.min
-_OUT_OF_RANGE = ("the requested poles are too extreme for float64: a gain or a "
-                 "closed-loop check coefficient overflows or underflows")
+_OUT_OF_RANGE = ("the requested poles are too extreme for float64: a gain overflows or "
+                 "underflows, or a closed-loop entry overflows")
 
 
 class PolePlacementError(ValueError):
@@ -287,18 +287,6 @@ _OUTSIDE = {n: [(i, j) for ch in chains for i in ch.states for j in range(n) if 
             for n, chains in _TABLES.items()}
 
 
-def _bilinear(d):
-    """W = (F - I)(F + I)^-1 of a sampled block d = F - I (the factors
-    commute), scaled to unit size by a power of two, exactly, so a slow
-    loop's coefficients do not underflow; None when F + I is singular."""
-    w = solve([[x + 2.0 if i == j else x for j, x in enumerate(row)]
-               for i, row in enumerate(d)], d)
-    if w is None:
-        return None
-    exponent = math.frexp(max(abs(x) for row in w for x in row))[1]
-    return [[math.ldexp(x, -exponent) for x in row] for row in w]
-
-
 def _chains_stable(a, b, K, sampled: bool) -> bool:
     """True iff every entry of a - b K outside the blocks of the chain
     table with a's state count is exactly 0, and every chain block of
@@ -307,14 +295,14 @@ def _chains_stable(a, b, K, sampled: bool) -> bool:
     multiply-add would not.
 
     Continuous blocks must be Hurwitz. A sampled block F must have every
-    eigenvalue strictly inside the unit circle; the bilinear map
-    W = (F - I)(F + I)^-1 takes those to the open left half-plane, so W
-    must be Hurwitz, and a singular F + I (an exactly zero pivot) fails.
-    F - I is (a - I) - b K, which keeps the slow poles that 1 + (F - I)
-    rounds away: a = Phi has a unit diagonal, so a - I is exact.
-    Blocks go through char_poly_rows in table order. A continuous loop
-    whose products overflow raises PolePlacementError; a sampled loop that
-    is not finite is not stable.
+    eigenvalue strictly inside the unit circle. Its D = F - I is
+    (a - I) - b K, which keeps the slow poles that 1 + (F - I) rounds away:
+    a = Phi has a unit diagonal, so a - I is exact. z = (1 + w) / (1 - w)
+    takes |z| < 1 to Re w < 0; on the integer polynomial C of 2^s D it
+    gives q(w) = sum_k C_k T^(n-k) w^(n-k) (1 - w)^k, T = 2^(s+1), which
+    must be Hurwitz, and a leading q_0 = (-1)^n C(-T) of 0 means z = -1.
+    A continuous loop that overflows raises PolePlacementError; a sampled
+    loop that is not finite is not stable.
     """
     if len(a) not in _TABLES:
         raise ValueError(f"no chain table has {len(a)} states; a closed loop has "
@@ -324,18 +312,23 @@ def _chains_stable(a, b, K, sampled: bool) -> bool:
     if sampled:  # F - I: a - I first on the diagonal, then - b K
         for i, row in enumerate(closed):
             row[i] = (a[i][i] - 1.0) - bk[i][i]
-    if not (sampled or all(map(math.isfinite, chain.from_iterable(closed)))):
+    if not all(map(math.isfinite, chain.from_iterable(closed))):
+        if sampled:
+            return False
         raise PolePlacementError(_OUT_OF_RANGE)
     if any(closed[i][j] for i, j in _OUTSIDE[len(a)]):
         return False
     for ch in _TABLES[len(a)]:
-        block = [[closed[i][j] for j in ch.states] for i in ch.states]
-        if sampled and (block := _bilinear(block)) is None:
-            return False
-        poly = char_poly_rows(block)
-        finite = all(map(math.isfinite, poly))
-        if not (sampled or finite):
-            raise PolePlacementError(_OUT_OF_RANGE)
-        if not (finite and is_hurwitz(poly)):
+        poly, s = char_poly_ints([[closed[i][j] for j in ch.states] for i in ch.states])
+        if sampled:
+            n, q = len(poly) - 1, [0] * len(poly)
+            for k, c in enumerate(poly):
+                c <<= (s + 1) * (n - k)
+                for j in range(k + 1):  # (1 - w)^k, highest power of w first
+                    q[k - j] += (-1) ** j * math.comb(k, j) * c
+            if not q[0]:
+                return False
+            poly = q
+        if not is_hurwitz_ints(poly):
             return False
     return True

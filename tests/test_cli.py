@@ -395,12 +395,13 @@ def test_a_dt_beyond_float64_is_unstable_not_a_pole_error(capsys, params_file, t
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("pole,want", [("-1e100", 2), ("-1e60", 2), ("-1e-60", 0),
-                                       ("-1e-78", 2), ("-1e-300", 2)])
+@pytest.mark.parametrize("pole,want", [("-1e100", 2), ("-1e80", 2), ("-2e77", 2), ("-1e60", 4),
+                                       ("-1e-60", 0), ("-1e-78", 2), ("-1e-300", 2)])
 def test_poles_beyond_float64_are_an_input_error_not_a_defect(capsys, params_file, tmp_path,
                                                               pole, want):
-    # -1e100 and -1e60 overflow the gains or the check, -1e-78 underflows
-    # the gains to subnormals and -1e-300 to 0; -1e-60 has gains of
+    # -1e100, -1e80 and -2e77 overflow the gains, -1e-78 underflows them to
+    # subnormals and -1e-300 to 0; -1e60 has gains of about 1e237, designed
+    # exactly and too fast for the default 1 ms step; -1e-60 has gains of
     # 1e-243, designed and checked exactly
     out_path, gains_path = tmp_path / "x.csv", tmp_path / "gains.json"
     code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
@@ -410,11 +411,26 @@ def test_poles_beyond_float64_are_an_input_error_not_a_defect(capsys, params_fil
     assert code == want and out == ""
     if want == 2:
         assert err == ("quadmodel: error: the requested poles are too extreme for float64: "
-                       "a gain or a closed-loop check coefficient overflows or underflows\n")
+                       "a gain overflows or underflows, or a closed-loop entry overflows\n")
+    elif want == 4:
+        assert err == ("quadmodel: simulation refused: the sampled closed loop Phi - Gamma K "
+                       "is unstable at dt=0.001; use a smaller --dt or slower poles\n")
+    if want:
         assert not out_path.exists() and not gains_path.exists()
     else:
         assert err == ""
         assert np.all(np.isfinite(read_csv(out_path)[1]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_fast_poles_with_normal_gains_run_at_a_step_to_match(capsys, params_file, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--mode", "closed", "--poles=-1e60", "--x0", "z=0.5",
+                         "--dt", "1e-62", "--t-final", "1e-61", "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    _, rows = read_csv(out_path)
+    assert rows.shape == (11, 17) and np.all(np.isfinite(rows))
 
 
 def test_spread_poles_are_designed_and_run(capsys, params_file, tmp_path):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,14 @@ from quadmodel import (
     DimensionMismatch,
     NotNilpotent,
     NotSquare,
+    PoleSpec,
+    QuadParams,
     StateSpaceModel,
     build_3dof,
     build_6dof,
     char_poly,
     controllability_matrix,
+    design_6dof_gains,
     expm_nilpotent,
     is_hurwitz,
     nilpotency_index,
@@ -241,6 +245,61 @@ def test_char_poly_of_a_20_state_shift_is_lambda_to_the_20():
     expected = np.zeros(21)
     expected[0] = 1.0
     assert char_poly(np.eye(20, k=1)).tolist() == expected.tolist()
+
+
+def fraction_char_poly(a) -> list[float]:
+    """Faddeev-LeVerrier in exact rationals, each coefficient rounded once
+    (float of a Fraction is correctly rounded), +-inf where it overflows."""
+    n = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    m, exact = [[Fraction(0)] * n for _ in range(n)], [Fraction(1)]
+    live = [[l for l in range(n) if a[i][l]] for i in range(n)]  # skip exact zeros
+    for k in range(1, n + 1):  # M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k
+        m = [[sum(a[i][l] * m[l][j] for l in live[i]) + (exact[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        exact.append(-sum(a[i][l] * m[l][i] for i in range(n) for l in live[i]) / k)
+    out = []
+    for v in exact:
+        try:
+            out.append(float(v))
+        except OverflowError:
+            out.append(math.inf if v > 0 else -math.inf)
+    return out
+
+
+# exact zeros, desk-scale entries and entries of any exponent, mixed
+matrix_entry = st.one_of(
+    st.just(0.0),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-40, 40)),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.integers(1, 12).flatmap(lambda n: st.lists(
+    matrix_entry, min_size=n * n, max_size=n * n).map(
+        lambda v: [v[i : i + n] for i in range(0, n * n, n)])))
+@example(a=[[1e200, 0.0], [0.0, 1e200]])  # c2 = 1e400 overflows to inf
+@example(a=[[0.0, 1e300], [1e300, 0.0]])  # c2 = -1e600 to -inf
+@example(a=[[5e-324, 0.0], [0.0, -5e-324]])  # c2 underflows to -0.0, returned as +0.0
+def test_char_poly_is_the_exact_polynomial_rounded_once(a):
+    assert char_poly(a).tolist() == fraction_char_poly(a)
+
+
+@pytest.mark.parametrize("z_yaw", [(-1, -1), (-0.5, -0.5)])
+def test_char_poly_of_the_pinned_6dof_loops_is_correctly_rounded(z_yaw):
+    # the float recursion lost 1.1e-8 and 5.9e-8 relative on these loops
+    p = QuadParams(m=1.0, d=0.25, c=0.01, Ix=0.01, Iy=0.01, Iz=0.02, g=9.81)
+    spec = PoleSpec(z=z_yaw, roll=(-1, -1, -4, -5), pitch=(-1, -1, -0.5, -0.5), yaw=z_yaw)
+    m = build_6dof(p)
+    closed = m.A - m.B @ design_6dof_gains(p, spec).K
+    assert char_poly(closed).tolist() == fraction_char_poly(closed.tolist())
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_char_poly_rejects_a_non_finite_matrix(bad):
+    with pytest.raises(ValueError, match=r"^char_poly needs a finite matrix$"):
+        char_poly([[1.0, bad], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------- is_hurwitz

@@ -12,8 +12,11 @@ ROOT = Path(__file__).resolve().parents[1]
     pytest.param("-3000", 4, "closed_loop_demo.py: simulation refused: the sampled closed loop "
                  "Phi - Gamma K is unstable at the demo's fixed 1 ms step; use a slower --pole",
                  id="unstable-at-dt"),
-    pytest.param("-1e60", 2, "closed_loop_demo.py: error: the requested poles are too extreme "
-                 "for float64: a gain or a closed-loop check coefficient overflows or underflows",
+    pytest.param("-1e60", 4, "closed_loop_demo.py: simulation refused: the sampled closed loop "
+                 "Phi - Gamma K is unstable at the demo's fixed 1 ms step; use a slower --pole",
+                 id="normal-gains-unstable-at-dt"),
+    pytest.param("-1e80", 2, "closed_loop_demo.py: error: the requested poles are too extreme "
+                 "for float64: a gain overflows or underflows, or a closed-loop entry overflows",
                  id="beyond-float64"),
 ])
 def test_closed_loop_demo_refuses_as_sim_does(tmp_path, pole, code, line):

@@ -1,10 +1,11 @@
+import collections
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadmodel import (
@@ -180,6 +181,10 @@ def test_6dof_gain_layout(params):
 
 @settings(max_examples=25, deadline=None)
 @given(spec=pole_sets_6dof())
+# float Faddeev-LeVerrier on the 12x12 lost 1.1e-8 and 5.9e-8 relative here
+@example(PoleSpec(z=(-1, -1), roll=(-1, -1, -4, -5), pitch=(-1, -1, -0.5, -0.5), yaw=(-1, -1)))
+@example(PoleSpec(z=(-0.5, -0.5), roll=(-1, -1, -4, -5), pitch=(-1, -1, -0.5, -0.5),
+                  yaw=(-0.5, -0.5)))
 def test_6dof_placement_matches_chain_products(spec):
     m = build_6dof(P)
     gains = design_6dof_gains(P, spec)
@@ -283,6 +288,44 @@ def test_sampled_block_with_an_eigenvalue_at_minus_one_fails():
     assert _chains_stable(0.5 * np.eye(12), b, K, sampled=True) is True
 
 
+def _sampled_blocks(block):
+    """a, b and K whose sampled loop is block on the roll chain (4x4) or on
+    the roll axis (2x2), and stable elsewhere; b K = 0."""
+    n = 12 if len(block) == 4 else 6
+    states = (1, 4, 6, 9) if n == 12 else (0, 3)
+    a = 0.5 * np.eye(n)
+    a[np.ix_(states, states)] = block
+    return a, np.zeros((n, 4)), np.zeros((4, n))
+
+
+@pytest.mark.parametrize("block", [
+    pytest.param([[-1.0, 0.0], [0.0, 0.5]], id="z=-1"),
+    pytest.param([[0.0, 1.0], [1.0, 0.0]], id="z=+-1"),
+    pytest.param([[1.0, 0.0], [0.25, 0.5]], id="z=+1"),
+    pytest.param([[0.0, 1.0], [-1.0, 0.0]], id="z=+-i"),
+    pytest.param([[0.0, 1.0, 0, 0], [-1.0, 0.0, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.25]],
+                 id="4x4-z=+-i"),
+    pytest.param([[0.5, 1.0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.0, 1.0], [0, 0, -1.0, -2.0]],
+                 id="4x4-z=-1-twice"),
+])
+def test_sampled_blocks_on_the_unit_circle_fail(block):
+    # |z| = 1 is not strictly inside: z = -1 drops the bilinear polynomial's
+    # degree, z = +1 puts its root at w = 0 and z = +-i at w = +-i
+    assert _chains_stable(*_sampled_blocks(np.array(block)), sampled=True) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.sampled_from([2, 4]).flatmap(
+    lambda n: st.lists(st.floats(-1.5, 1.5), min_size=n * n, max_size=n * n).map(
+        lambda v: np.array(v).reshape(n, -1))))
+@example(f=np.array([[0.0, 0.999998], [-0.999998, 0.0]]))
+@example(f=np.array([[0.0, 1.000002], [-1.000002, 0.0]]))
+def test_sampled_gate_agrees_with_the_eigenvalue_moduli(f):
+    moduli = np.abs(np.linalg.eigvals(f))
+    assume(np.min(np.abs(moduli - 1.0)) >= 1e-6)
+    assert _chains_stable(*_sampled_blocks(f), sampled=True) is bool(np.all(moduli < 1.0))
+
+
 def test_closed_loop_entries_outside_the_chain_blocks_must_vanish():
     a, b, K = -np.eye(12), np.zeros((12, 4)), np.zeros((4, 12))
     assert _chains_stable(a, b, K, sampled=False) is True
@@ -303,11 +346,11 @@ def test_closed_loop_check_takes_its_chain_table_from_the_state_count():
         _chains_stable(a, b, K, sampled=False)
 
 
-@pytest.mark.parametrize("dof,pole", [(6, -1e100), (6, -1e60), (6, -1e-78), (6, -1e-300),
-                                      (3, -1e160), (3, -1e-155), (3, -1e-300)])
+@pytest.mark.parametrize("dof,pole", [(6, -1e100), (6, -1e80), (6, -2e77), (6, -1e-78),
+                                      (6, -1e-300), (3, -1e160), (3, -1e-155), (3, -1e-300)])
 def test_poles_beyond_float64_are_refused_as_a_request_error(params, dof, pole):
     # the true gains are finite and nonzero; the computed ones overflow, or
-    # underflow to subnormals or 0, or the check's products overflow
+    # underflow to subnormals or 0
     design, spec = ((design_6dof_gains, PoleSpec.uniform_6dof) if dof == 6
                     else (design_3dof_gains, PoleSpec.uniform_3dof))
     with warnings.catch_warnings():
@@ -322,10 +365,56 @@ def test_poles_beyond_float64_are_refused_as_a_request_error(params, dof, pole):
 def test_slow_poles_are_designed_and_checked_at_their_own_scale(params, pole, dt):
     # the Routh array of (s + 1e-60)^4 underflowed, 1 + (F - I) rounded a
     # slow sampled loop onto the unit circle, and at -1e-75 with dt 1e-6 the
-    # coefficients of the unscaled bilinear block underflowed; all are stable
+    # coefficients of a float bilinear block underflowed; all are stable
     for m, gains in ((build_6dof(params), design_6dof_gains(params, PoleSpec.uniform_6dof(pole))),
                      (build_3dof(params), design_3dof_gains(params, PoleSpec.uniform_3dof(pole)))):
         check_sampled_loop(m, gains.K, dt)
+
+
+def test_poles_with_normal_gains_are_designed_and_checked_at_their_dt(params):
+    # gains of about 1e237 and block coefficients up to 1e240 are normal
+    # floats; only a float recursion's intermediate products overflowed
+    m = build_6dof(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gains = design_6dof_gains(params, PoleSpec.uniform_6dof(-1e60))
+        with pytest.raises(UnstableSampledLoop):
+            check_sampled_loop(m, gains.K, 1e-3)
+        check_sampled_loop(m, gains.K, 1e-62)
+
+
+GRID_PARAMS = (
+    P,
+    QuadParams(m=1.0, d=0.0625, c=4.845750806847613, Ix=1.0, Iy=20.0, Iz=0.0625, g=1.0),
+    QuadParams(m=1e-3, d=1e3, c=1e-4, Ix=1e-6, Iy=1e4, Iz=1e2, g=9.81),
+)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verdict_grid():
+    # desk, cancelling-mixer and extreme parameters x both models x uniform
+    # poles -1e-320 .. -1e308 in whole decades x three steps: every request
+    # runs, is unstable at its dt (exit 4) or is beyond float64 (exit 2),
+    # and none is a defect (InternalStabilityCheckFailed propagates)
+    verdicts = collections.Counter()
+    for p in GRID_PARAMS:
+        for dof, model, design, uniform in (
+                (6, build_6dof(p), design_6dof_gains, PoleSpec.uniform_6dof),
+                (3, build_3dof(p), design_3dof_gains, PoleSpec.uniform_3dof)):
+            for e in range(-320, 309):
+                try:
+                    K = design(p, uniform(-(10.0 ** e))).K
+                except PolePlacementError:
+                    verdicts[dof, 2] += 3
+                    continue
+                for dt in (1e-6, 1e-3, 0.3):
+                    try:
+                        check_sampled_loop(model, K, dt)
+                        verdicts[dof, 0] += 1
+                    except UnstableSampledLoop:
+                        verdicts[dof, 4] += 1
+    assert verdicts == {(6, 0): 711, (6, 4): 666, (6, 2): 4284,
+                        (3, 0): 1395, (3, 4): 1332, (3, 2): 2934}
 
 
 def test_a_zero_gain_at_desk_poles_is_a_defect_not_a_range_error(params):
