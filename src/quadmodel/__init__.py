@@ -3,13 +3,14 @@ model construction, structural analysis, simulation, and stabilization.
 
 The package is lazy (PEP 562): each name is imported from its module on
 first access and then cached here, so `import quadmodel` and the linear
-`quadmodel sim` never import numpy.
+`quadmodel sim` never import numpy. Loading a submodule binds its name
+here, so `quadmodel.simulate` (and `from quadmodel import simulate`) is the
+function simulate, bound once over its module, as an eager package bound
+it; `importlib.import_module("quadmodel.simulate")` gives the module.
 """
 
 from importlib import import_module
 
-# Loading a submodule binds its name here, so the function simulate is
-# bound once, after its module, as an eager package would bind it.
 from .simulate import simulate
 
 # each line: a module, then names it defines (a module may take more lines)

@@ -6,10 +6,11 @@ expm_rows, char_poly_ints, is_hurwitz_ints) works on nested lists of
 Python numbers, skips those zeros and imports no numpy. The functions that take or return
 float64 arrays import numpy when first called. Rank is decided by Gaussian
 elimination with partial pivoting rather than singular values, and
-characteristic polynomials exactly, by the Faddeev-LeVerrier recursion on
-Python ints. A general eigensolver is deliberately avoided: the open-loop
-models are nilpotent (spectrum identically zero), and a closed loop is
-checked chain block by chain block with char_poly_ints + is_hurwitz_ints.
+characteristic polynomials exactly on Python ints: by a Hessenberg recurrence
+(open-loop A, continuous chain blocks) or else Faddeev-LeVerrier (dense 4x4
+sampled blocks), chosen from the nonzero pattern. No general eigensolver is
+used: the open-loop models are nilpotent (spectrum identically zero), and a
+closed loop is checked chain block by chain block (char_poly_ints + is_hurwitz_ints).
 """
 
 from __future__ import annotations
@@ -60,15 +61,16 @@ def rank(a, rel_tol: float = 1e-9) -> int:
     A pivot counts iff its magnitude exceeds rel_tol * max(1, max|a|),
     the max taken over the original matrix, which must be finite. The
     pivot of a column is the first row of largest magnitude on or below
-    the current one.
+    the current one, and it trades places with the current row.
 
     The elimination runs on Python floats and skips every row whose entry
     in the pivot column is exactly zero, and every pivot-row entry that
     is exactly zero: x - 0*y can only change the sign of a zero, so no
     magnitude and no pivot decision changes. For the same reason a column
-    of zeros stays zero and never pivots, and zero rows below the last
-    nonzero one never move, so both are dropped first. The Kalman
-    matrices of the chain models are mostly such zeros.
+    of zeros stays zero and never pivots, and so does a row of zeros: both
+    are dropped first. Each kept row counts the zero rows just above it: a
+    zero row that trades places orders the rows below, so which tied row
+    pivots. The Kalman matrices of the chain models are mostly such zeros.
     """
     import numpy as np
     if rel_tol <= 0.0:
@@ -79,34 +81,35 @@ def rank(a, rel_tol: float = 1e-9) -> int:
     if not np.isfinite(m).all():
         raise ValueError("rank needs a finite matrix")
     thresh = _zero_tol(m, rel_tol)
-    live = np.flatnonzero(m.any(axis=1))
-    if not live.size:
+    live = np.flatnonzero(m.any(axis=1)).tolist()
+    if not live:
         return 0
-    m = m[: live[-1] + 1, m.any(axis=0)]
-    rows = m.tolist()
-    n_rows, n_cols = m.shape
-    r = 0
-    for col in range(n_cols):
-        if r == n_rows:
+    rows = m.compress(m.any(axis=0), axis=1).take(live, axis=0).tolist()
+    gaps = [j - i - 1 for i, j in zip([-1] + live, live)] + [0]  # zero rows above each, a spare
+    for col in range(len(rows[0])):
+        if not rows:
             break
-        mags = [abs(row[col]) for row in rows[r:]]
+        mags = [abs(row[col]) for row in rows]
         best = max(mags)
         if best <= thresh:
             continue
-        piv = r + mags.index(best)
+        piv = mags.index(best)
         pivot_row = rows[piv]
-        rows[piv] = rows[r]
-        rows[r] = pivot_row
+        if gaps[0]:  # a zero row is current: it takes the pivot's place
+            gaps[0] -= 1
+            gaps[piv + 1] += gaps[piv] + 1
+        else:  # the current row takes the pivot's place
+            rows[piv], piv = rows[0], 0
+        del rows[piv], gaps[piv]
         pivot = pivot_row[col]
-        nonzero = [j for j in range(col + 1, n_cols) if pivot_row[j] != 0.0]
-        for row in rows[r + 1 :]:
+        nonzero = [j for j in range(col + 1, len(pivot_row)) if pivot_row[j] != 0.0]
+        for row in rows if nonzero else ():  # else the pivot row changes no row
             x = row[col]
             if x != 0.0:
                 f = x / pivot
                 for j in nonzero:
                     row[j] -= f * pivot_row[j]
-        r += 1
-    return r
+    return len(live) - len(rows)  # one row leaves per pivot
 
 
 def nilpotency_index(a) -> int | None:
@@ -130,7 +133,7 @@ def nonzeros(m, scale: float = 1.0) -> list[list[tuple[int, float]]]:
     return [[(k, row[k] * scale) for k in compress(range(len(row)), row)] for row in m]
 
 
-def _row_times(pairs, rows, zero=0.0) -> dict:
+def row_times(pairs, rows, zero=0.0) -> dict:
     """zero + sum_k v rows[k] over the (k, v) pairs, each row of rows given
     as its (column, entry) pairs, as a dict of the columns that got a product."""
     acc: dict = {}
@@ -144,7 +147,7 @@ def matmul(a, b) -> list[list[float]]:
     """a b for nested lists, over the nonzeros of both: an entry is +0.0
     plus its products in order, so a sum of zeros is +0.0, as in BLAS."""
     width, b = range(len(b[0]) if len(b) else 0), nonzeros(b)
-    return [[acc.get(c, 0.0) for c in width] for acc in (_row_times(r, b) for r in nonzeros(a))]
+    return [[acc.get(c, 0.0) for c in width] for acc in (row_times(r, b) for r in nonzeros(a))]
 
 
 def expm_rows(a, b, t: float) -> tuple[list, list]:
@@ -162,9 +165,9 @@ def expm_rows(a, b, t: float) -> tuple[list, list]:
         p[i] = 1.0
         row = {i: 1.0}
         for j in range(1, n + 2):
-            for c, v in _row_times(row.items(), bt).items():
+            for c, v in row_times(row.items(), bt).items():
                 g[c] += v / j
-            row = {c: v / j for c, v in _row_times(row.items(), at).items() if v != 0.0}
+            row = {c: v / j for c, v in row_times(row.items(), at).items() if v != 0.0}
             if not row:
                 break
             for c, v in row.items():
@@ -193,24 +196,52 @@ def _as_ints(values) -> tuple[list[int], int]:
 def char_poly_ints(a) -> tuple[list[int], int]:
     """det(lambda I - 2^s A) = sum C_k lambda^(n-k) for a finite nested-list
     A, as the integers [1, C_1, ..., C_n] and s; c_k = C_k / 2^(s k).
-    Faddeev-LeVerrier on sparse rows of the integer matrix 2^s A, where
-    C_k = -tr(A M_k) / k divides exactly: nothing rounds or overflows."""
-    n, cols = len(a), [list(compress(range(len(row)), row)) for row in a]
-    ints, s = _as_ints([row[k] for row, c in zip(a, cols) for k in c])
-    ints = iter(ints)
-    a = [[(k, next(ints)) for k in c] for c in cols]
+    Nothing rounds or overflows. If 2^s A or its transpose is upper Hessenberg
+    (every open-loop chain A and pole-placed chain block is), the recurrence
+    _hessenberg_poly runs, else Faddeev-LeVerrier: C_k = -tr(A M_k) / k."""
+    n, at = len(a), [(i, k) for i, row in enumerate(a) for k in compress(range(len(row)), row)]
+    ints, s = _as_ints([a[i][k] for i, k in at])
+    if all(i <= k + 1 for i, k in at):  # upper Hessenberg
+        return _hessenberg_poly(n, dict(zip(at, ints))), s
+    if all(k <= i + 1 for i, k in at):  # lower: its transpose is
+        return _hessenberg_poly(n, {(k, i): v for (i, k), v in zip(at, ints)}), s
+    a = [[] for _ in a]  # the rows of 2^s A as (column, entry) pairs
+    for (i, k), v in zip(at, ints):
+        a[i].append((k, v))
     coeffs, am, c = [1], [{} for _ in a], 1
     for k in range(1, n + 1):
         if c:  # M_k = A M_(k-1) + C_(k-1) I, in place
             for i, row in enumerate(am):
                 row[i] = row.get(i, 0) + c
         rows = [row.items() for row in am]
-        am = [_row_times(pairs, rows, 0) for pairs in a]
+        am = [row_times(pairs, rows, 0) for pairs in a]
         c = -sum(row.get(i, 0) for i, row in enumerate(am)) // k
         coeffs.append(c)
         if not any(am):  # A M_k = 0 and C_k = 0: so are all later ones
             return coeffs + [0] * (n - k), s
     return coeffs, s
+
+
+def _hessenberg_poly(n: int, u: dict) -> list[int]:
+    """[1, C_1, ..., C_n] of det(lambda I - U) for an n x n upper Hessenberg
+    integer matrix U given as {(row, column): nonzero}, division-free
+    (Wilkinson, The Algebraic Eigenvalue Problem, ch. 6). With p_k the
+    polynomial of the leading k x k block, highest power first, p_0 = 1 and
+    p_(k+1) = (lambda - u_kk) p_k - sum_(i<k) u_ik (u_(i+1,i) ... u_(k,k-1)) p_i;
+    a sum stops at its first zero subdiagonal factor."""
+    polys, sub = [[1]], [u.get((i, i - 1), 0) for i in range(n)]
+    for k in range(n):
+        p, f = polys[-1] + [0], 1  # lambda p_k, then u_kk p_k with f = 1
+        for i in range(k, -1, -1):
+            v = u.get((i, k))
+            if v:
+                for j, c in enumerate(polys[i], k - i + 1):
+                    p[j] -= v * f * c
+            f *= sub[i]
+            if not f:
+                break
+        polys.append(p)
+    return polys[-1]
 
 
 def char_poly(a) -> np.ndarray:

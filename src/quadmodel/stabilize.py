@@ -18,17 +18,18 @@ offset.
 Feedback convention: u = r - K x, with r defaulting to the hover
 equilibrium input.
 
-Every design checks the closed loop A - B K it produced, chain block by
-chain block: the entries outside the blocks must be exactly 0 on both
-models, and each block of at most four states must be Hurwitz, exactly
-(char_poly_ints + is_hurwitz_ints). The check reads the matrix, and its
-chain table from the matrix's state count. check_sampled_loop applies the
-same rule to the sampled loop Phi - Gamma K of a run on either plant: RK4 with
-held forces is exact on the nilpotent A, so Phi - Gamma K is the nonlinear
-step's Jacobian at hover. A request whose gains are not normal float64
-numbers (true gains of left-half-plane poles are finite and nonzero), or
-whose closed loop overflows, is refused as a PolePlacementError, not reported as
-a defect; a sampled loop that leaves float64 is unstable at its dt.
+Every design checks the closed loop A - B K it produced, chain block by chain
+block: the entries outside the blocks must be exactly 0 on both models, and
+each block of at most four states must be Hurwitz, exactly (char_poly_ints +
+is_hurwitz_ints). The check reads the matrix, and its chain table from the
+matrix's state count; it builds A - B K only at its nonzeros and finds the
+block of each in a per-state map. check_sampled_loop applies the same rule to
+the sampled loop Phi - Gamma K of a run on either plant: RK4 with held forces
+is exact on the nilpotent A, so Phi - Gamma K is the nonlinear step's Jacobian
+at hover. A request whose gains are not normal float64 numbers (true gains of
+left-half-plane poles are finite and nonzero), or whose closed loop overflows,
+is refused as a PolePlacementError, not reported as a defect; a sampled loop
+that leaves float64 is unstable at its dt.
 The gains and the checks run on Python floats and ints without numpy
 (design_rows, check_sampled_rows); the functions on numpy arrays wrap them.
 """
@@ -37,10 +38,10 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain
 
 from ._record import Record
-from .linalg import StateSpaceModel, char_poly_ints, expm_rows, is_hurwitz_ints, matmul
+from .linalg import (StateSpaceModel, char_poly_ints, expm_rows, is_hurwitz_ints, matmul,
+                     nonzeros, row_times)
 from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, LABELS, model_rows
 from .params import QuadParams, validate
 from .rotor_forces import mixer_inverse_rows
@@ -281,10 +282,9 @@ def check_sampled_rows(a, b, K, dt: float) -> None:
         )
 
 
-# each model's chain table and the entries outside its blocks, by state count
+# each model's chain table, and the chain block of each of its states, by state count
 _TABLES = {sum(len(ch.states) for ch in chains): chains for chains in CHAINS.values()}
-_OUTSIDE = {n: [(i, j) for ch in chains for i in ch.states for j in range(n) if j not in ch.states]
-            for n, chains in _TABLES.items()}
+_BLOCK = {n: {i: ch.states for ch in chains for i in ch.states} for n, chains in _TABLES.items()}
 
 
 def _chains_stable(a, b, K, sampled: bool) -> bool:
@@ -293,6 +293,10 @@ def _chains_stable(a, b, K, sampled: bool) -> bool:
     a - b K is stable, for nested lists. b K sums separately rounded
     products, which the 3DOF mixer's +- pairs cancel exactly; a fused
     multiply-add would not.
+
+    a - b K is built only at the nonzeros of a and of each row of b K, which
+    row_times sums in matmul's order, so every entry keeps its bits; the
+    off-block rule looks the block of each up in a per-state map.
 
     Continuous blocks must be Hurwitz. A sampled block F must have every
     eigenvalue strictly inside the unit circle. Its D = F - I is
@@ -307,19 +311,23 @@ def _chains_stable(a, b, K, sampled: bool) -> bool:
     if len(a) not in _TABLES:
         raise ValueError(f"no chain table has {len(a)} states; a closed loop has "
                          + " or ".join(map(str, _TABLES)))
-    bk = matmul(b, K)
-    closed = [[x - y for x, y in zip(ra, rk)] for ra, rk in zip(a, bk)]
+    closed = {(i, c): x for i, row in enumerate(nonzeros(a)) for c, x in row}
     if sampled:  # F - I: a - I first on the diagonal, then - b K
-        for i, row in enumerate(closed):
-            row[i] = (a[i][i] - 1.0) - bk[i][i]
-    if not all(map(math.isfinite, chain.from_iterable(closed))):
+        for i, row in enumerate(a):
+            closed[i, i] = row[i] - 1.0
+    k_rows = nonzeros(K)
+    for i, pairs in enumerate(nonzeros(b)):
+        for c, y in row_times(pairs, k_rows).items():
+            closed[i, c] = closed.get((i, c), 0.0) - y
+    if not all(map(math.isfinite, closed.values())):
         if sampled:
             return False
         raise PolePlacementError(_OUT_OF_RANGE)
-    if any(closed[i][j] for i, j in _OUTSIDE[len(a)]):
+    block = _BLOCK[len(a)]
+    if any(v and block[i] is not block[c] for (i, c), v in closed.items()):
         return False
     for ch in _TABLES[len(a)]:
-        poly, s = char_poly_ints([[closed[i][j] for j in ch.states] for i in ch.states])
+        poly, s = char_poly_ints([[closed.get((i, j), 0.0) for j in ch.states] for i in ch.states])
         if sampled:
             n, q = len(poly) - 1, [0] * len(poly)
             for k, c in enumerate(poly):

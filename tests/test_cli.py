@@ -62,16 +62,12 @@ def test_model_schema_fields(capsys, params_file):
 
 
 def test_analyze_reports(capsys, params_file):
-    code, out, err = run(capsys, "analyze", "--dof", "6", "--params", params_file)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["controllability_rank"] == 12
-    assert doc["observability_rank"] == 12
-    assert doc["stability_class"] == "marginal_or_unstable"
-    assert doc["nilpotency_index"] == 4
-
-    _, out3, _ = run(capsys, "analyze", "--dof", "3", "--params", params_file)
-    assert json.loads(out3)["nilpotency_index"] == 2
+    # the whole report, byte for byte: both ranks, the open-loop polynomial,
+    # the stability class and the nilpotency index
+    for dof in (6, 3):
+        code, out, err = run(capsys, "analyze", "--dof", str(dof), "--params", params_file)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / f"analyze_{dof}dof.json").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------- sim
