@@ -49,10 +49,11 @@ def _require_square(a) -> np.ndarray:
     return m
 
 
-def _zero_tol(a: np.ndarray, rel_tol: float) -> float:
-    # Scale by max(1, max|entry|): the 1.0 floor handles the zero matrix
-    # without division hazards and keeps absolute meaning at desk scale.
-    return rel_tol * max(1.0, float(abs(a).max()) if a.size else 1.0)
+def _zero_tol(top: float, rel_tol: float) -> float:
+    # Scale by max(1, top), top the largest |entry|: the 1.0 floor handles
+    # the zero matrix without division hazards and keeps absolute meaning
+    # at desk scale.
+    return rel_tol * max(1.0, top)
 
 
 def rank(a, rel_tol: float = 1e-9) -> int:
@@ -78,9 +79,10 @@ def rank(a, rel_tol: float = 1e-9) -> int:
     m = _as_matrix(a)
     if m.size == 0:
         return 0
-    if not np.isfinite(m).all():
+    top = float(abs(m).max())  # NaN and inf reach the max
+    if not math.isfinite(top):
         raise ValueError("rank needs a finite matrix")
-    thresh = _zero_tol(m, rel_tol)
+    thresh = _zero_tol(top, rel_tol)
     live = np.flatnonzero(m.any(axis=1)).tolist()
     if not live:
         return 0
@@ -119,7 +121,7 @@ def nilpotency_index(a) -> int | None:
     n = m.shape[0]
     if n == 0:
         return 1
-    tol = _zero_tol(m, 1e-12)
+    tol = _zero_tol(float(abs(m).max()), 1e-12)
     power = m
     for k in range(1, n + 1):
         if float(abs(power).max()) <= tol:

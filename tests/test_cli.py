@@ -6,7 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadmodel import Trajectory
+from quadmodel import (
+    PoleSpec,
+    RotorForces,
+    SimConfig,
+    Trajectory,
+    build_6dof,
+    design_6dof_gains,
+    hover_thrust_per_rotor,
+    simulate_feedback,
+    simulate_nonlinear,
+)
 from quadmodel.cli import CSV_BLOCK_ROWS, main, write_trajectory_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -144,7 +154,8 @@ SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e-300, 1.0 / 3.0,
                   sys.float_info.max, -sys.float_info.max, 2.0**-1022, 0.1, -2.5]
 
 
-@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                  8 * CSV_BLOCK_ROWS - 1, 8 * CSV_BLOCK_ROWS, 8 * CSV_BLOCK_ROWS + 1])
 @pytest.mark.parametrize("n_states", [12, 6])
 def test_trajectory_csv_bytes_match_per_value_formatting(rows, n_states):
     rng = np.random.default_rng(rows + n_states)
@@ -159,6 +170,38 @@ def test_trajectory_csv_bytes_match_per_value_formatting(rows, n_states):
     fh = io.StringIO()
     write_trajectory_csv(traj, fh)
     assert fh.getvalue() == _reference_csv(traj)
+
+
+@pytest.mark.parametrize("rows", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                  3 * CSV_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("plant", ["linear", "nonlinear"])
+def test_sim_csv_bytes_match_per_value_formatting(capsys, params, params_file, tmp_path,
+                                                  plant, rows):
+    # the file sim writes as bytes against the same run made through the
+    # API and formatted one f-string per value
+    dt = 0.01
+    t_final = (rows - 1) * dt
+    x0 = np.zeros(12)
+    x0[[2, 6, 9]] = (-0.3, 0.02, 0.1)  # z, phi, phi_dot
+    out_path = tmp_path / "traj.csv"
+    argv = ["sim", "--dof", "6", "--params", params_file, "--plant", plant,
+            "--x0", "z=-0.3,phi=0.02,phi_dot=0.1", "--t-final", repr(t_final),
+            "--dt", repr(dt), "--out", str(out_path)]
+    if plant == "linear":
+        argv += ["--mode", "closed"]
+        cfg = SimConfig(t_final=t_final, dt=dt)
+        K = design_6dof_gains(params, PoleSpec.uniform_6dof()).K
+        traj = simulate_feedback(build_6dof(params), x0, K, np.zeros(4), cfg)
+    else:
+        argv += ["--input", "F1=2.5"]
+        cfg = SimConfig(t_final=t_final, dt=dt, integrator="rk4", plant="nonlinear_6dof")
+        hover = hover_thrust_per_rotor(params)
+        held = RotorForces(2.5, hover, hover, hover)
+        traj = simulate_nonlinear(params, x0, lambda t, x: held, cfg)
+    assert len(traj) == rows
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_bytes() == _reference_csv(traj).encode()
 
 
 def test_sim_deterministic(capsys, params_file, tmp_path):
@@ -298,6 +341,7 @@ def test_runtime_blowup_is_exit_4(capsys, params_file, tmp_path):
                          "--out", str(tmp_path / "x.csv"))
     assert code == 4 and out == ""
     assert len(err.strip().split("\n")) == 1
+    assert not (tmp_path / "x.csv").exists()  # the run fails before the file is opened
 
 
 def test_nonlinear_angle_overflow_is_exit_4(capsys, params_file, tmp_path):
