@@ -2,15 +2,16 @@
 
 The matrices in this problem are tiny (at most 12x48, or 72x12) with
 exact-formula entries, mostly exact zeros. The core (nonzeros, matmul,
-expm_rows, char_poly_ints, is_hurwitz_ints) works on nested lists of
-Python numbers, skips those zeros and imports no numpy. The functions that take or return
-float64 arrays import numpy when first called. Rank is decided by Gaussian
-elimination with partial pivoting rather than singular values, and
-characteristic polynomials exactly on Python ints: by a Hessenberg recurrence
+expm_rows, and the exact kernel) works on nested lists of Python numbers,
+skips those zeros and imports no numpy; functions on float64 arrays import
+numpy when first called. The exact kernel decides on the integers 2^s A
+(int_rows): ranks by fraction-free elimination (span_add), nilpotency by
+powers, characteristic polynomials by a Hessenberg recurrence
 (open-loop A, continuous chain blocks) or else Faddeev-LeVerrier (dense 4x4
 sampled blocks), chosen from the nonzero pattern. No general eigensolver is
 used: the open-loop models are nilpotent (spectrum identically zero), and a
 closed loop is checked chain block by chain block (char_poly_ints + is_hurwitz_ints).
+The public rank is numerical, with a tolerance; the package does not call it.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ def _require_square(a) -> np.ndarray:
     return m
 
 
-def _zero_tol(top: float, rel_tol: float) -> float:
-    # Scale by max(1, top), top the largest |entry|: the 1.0 floor handles
-    # the zero matrix without division hazards and keeps absolute meaning
-    # at desk scale.
-    return rel_tol * max(1.0, top)
+def _finite_rows(a, caller: str) -> list[list[float]]:
+    m = _require_square(a)
+    if not math.isfinite(abs(m).max(initial=0.0)):  # NaN and inf reach the max
+        raise ValueError(f"{caller} needs a finite matrix")
+    return m.tolist()
 
 
 def rank(a, rel_tol: float = 1e-9) -> int:
@@ -63,71 +64,33 @@ def rank(a, rel_tol: float = 1e-9) -> int:
     the max taken over the original matrix, which must be finite. The
     pivot of a column is the first row of largest magnitude on or below
     the current one, and it trades places with the current row.
-
-    The elimination runs on Python floats and skips every row whose entry
-    in the pivot column is exactly zero, and every pivot-row entry that
-    is exactly zero: x - 0*y can only change the sign of a zero, so no
-    magnitude and no pivot decision changes. For the same reason a column
-    of zeros stays zero and never pivots, and so does a row of zeros: both
-    are dropped first. Each kept row counts the zero rows just above it: a
-    zero row that trades places orders the rows below, so which tied row
-    pivots. The Kalman matrices of the chain models are mostly such zeros.
     """
     import numpy as np
     if rel_tol <= 0.0:
         raise ValueError(f"rel_tol must be > 0, got {rel_tol!r}")
-    m = _as_matrix(a)
-    if m.size == 0:
-        return 0
-    top = float(abs(m).max())  # NaN and inf reach the max
+    m = _as_matrix(a).copy()
+    top = float(abs(m).max(initial=0.0))  # NaN and inf reach the max
     if not math.isfinite(top):
         raise ValueError("rank needs a finite matrix")
-    thresh = _zero_tol(top, rel_tol)
-    live = np.flatnonzero(m.any(axis=1)).tolist()
-    if not live:
-        return 0
-    rows = m.compress(m.any(axis=0), axis=1).take(live, axis=0).tolist()
-    gaps = [j - i - 1 for i, j in zip([-1] + live, live)] + [0]  # zero rows above each, a spare
-    for col in range(len(rows[0])):
-        if not rows:
-            break
-        mags = [abs(row[col]) for row in rows]
-        best = max(mags)
-        if best <= thresh:
-            continue
-        piv = mags.index(best)
-        pivot_row = rows[piv]
-        if gaps[0]:  # a zero row is current: it takes the pivot's place
-            gaps[0] -= 1
-            gaps[piv + 1] += gaps[piv] + 1
-        else:  # the current row takes the pivot's place
-            rows[piv], piv = rows[0], 0
-        del rows[piv], gaps[piv]
-        pivot = pivot_row[col]
-        nonzero = [j for j in range(col + 1, len(pivot_row)) if pivot_row[j] != 0.0]
-        for row in rows if nonzero else ():  # else the pivot row changes no row
-            x = row[col]
-            if x != 0.0:
-                f = x / pivot
-                for j in nonzero:
-                    row[j] -= f * pivot_row[j]
-    return len(live) - len(rows)  # one row leaves per pivot
+    thresh = rel_tol * max(1.0, top)
+    r = 0
+    for col in range(m.shape[1]):
+        if r < len(m) and abs(m[r:, col]).max() > thresh:
+            piv = r + int(abs(m[r:, col]).argmax())
+            m[[r, piv]] = m[[piv, r]]
+            m[r + 1:, col:] -= np.outer(m[r + 1:, col] / m[r, col], m[r, col:])
+            r += 1
+    return r
 
 
 def nilpotency_index(a) -> int | None:
-    """Smallest k <= n with A^k = 0 (entrywise below 1e-12 * max(1, max|A|)),
-    or None when no power up to n vanishes."""
-    m = _require_square(a)
-    n = m.shape[0]
-    if n == 0:
-        return 1
-    tol = _zero_tol(float(abs(m).max()), 1e-12)
-    power = m
-    for k in range(1, n + 1):
-        if float(abs(power).max()) <= tol:
-            return k
-        power = power @ m
-    return None
+    """Smallest k <= n with A^k = 0 exactly, or None when no power up to n
+    vanishes: the powers of 2^s A run on Python ints, for a finite A."""
+    rows = int_rows(_finite_rows(a, "nilpotency_index"))[0]
+    power, k = rows, 1
+    while any(power) and k < len(rows):  # power = (2^s A)^k
+        power, k = [[(c, v) for c, v in row_times(r, rows, 0).items() if v] for r in power], k + 1
+    return None if any(power) else k
 
 
 def nonzeros(m, scale: float = 1.0) -> list[list[tuple[int, float]]]:
@@ -195,28 +158,51 @@ def _as_ints(values) -> tuple[list[int], int]:
     return [n << s - d.bit_length() + 1 for n, d in ratios], s
 
 
+def int_rows(a) -> tuple[list[list[tuple[int, int]]], int]:
+    """The rows of 2^s A as the (column, int) pairs of their nonzeros, for a
+    finite nested-list A, with s >= 0 the least shift that makes them integers."""
+    ints, s = _as_ints([x for row in a for x in row if x])
+    it = iter(ints)  # in the order of the nonzeros, row by row
+    return [[(k, next(it)) for k in compress(range(len(row)), row)] for row in a], s
+
+
+def span_add(basis: list, row) -> bool:
+    """Add an integer row, as (column, int) pairs, to basis, the echelon rows
+    as (pivot column, {column: int}), unless they span it; True iff added.
+    Fraction-free: row <- b_p row - row_p b for each basis row b in order
+    zeroes the row at every pivot p; a row that is left is divided by the
+    gcd of its entries."""
+    row = dict(row)
+    for p, b in basis:
+        x, y = row.get(p), b[p]
+        if x:
+            row = {c: y * row.get(c, 0) - x * b.get(c, 0) for c in row.keys() | b.keys()}
+    row = {c: v for c, v in row.items() if v}
+    if row:
+        g = math.gcd(*row.values())
+        basis.append((min(row), {c: v // g for c, v in row.items()}))
+    return bool(row)
+
+
 def char_poly_ints(a) -> tuple[list[int], int]:
     """det(lambda I - 2^s A) = sum C_k lambda^(n-k) for a finite nested-list
     A, as the integers [1, C_1, ..., C_n] and s; c_k = C_k / 2^(s k).
     Nothing rounds or overflows. If 2^s A or its transpose is upper Hessenberg
     (every open-loop chain A and pole-placed chain block is), the recurrence
     _hessenberg_poly runs, else Faddeev-LeVerrier: C_k = -tr(A M_k) / k."""
-    n, at = len(a), [(i, k) for i, row in enumerate(a) for k in compress(range(len(row)), row)]
-    ints, s = _as_ints([a[i][k] for i, k in at])
-    if all(i <= k + 1 for i, k in at):  # upper Hessenberg
-        return _hessenberg_poly(n, dict(zip(at, ints))), s
-    if all(k <= i + 1 for i, k in at):  # lower: its transpose is
-        return _hessenberg_poly(n, {(k, i): v for (i, k), v in zip(at, ints)}), s
-    a = [[] for _ in a]  # the rows of 2^s A as (column, entry) pairs
-    for (i, k), v in zip(at, ints):
-        a[i].append((k, v))
-    coeffs, am, c = [1], [{} for _ in a], 1
+    rows, s = int_rows(a)
+    n, u = len(rows), {(i, k): v for i, row in enumerate(rows) for k, v in row}
+    if all(i <= k + 1 for i, k in u):  # upper Hessenberg
+        return _hessenberg_poly(n, u), s
+    if all(k <= i + 1 for i, k in u):  # lower: its transpose is
+        return _hessenberg_poly(n, {(k, i): v for (i, k), v in u.items()}), s
+    coeffs, am, c = [1], [{} for _ in rows], 1
     for k in range(1, n + 1):
         if c:  # M_k = A M_(k-1) + C_(k-1) I, in place
             for i, row in enumerate(am):
                 row[i] = row.get(i, 0) + c
-        rows = [row.items() for row in am]
-        am = [row_times(pairs, rows, 0) for pairs in a]
+        mk = [row.items() for row in am]
+        am = [row_times(pairs, mk, 0) for pairs in rows]
         c = -sum(row.get(i, 0) for i, row in enumerate(am)) // k
         coeffs.append(c)
         if not any(am):  # A M_k = 0 and C_k = 0: so are all later ones
@@ -251,17 +237,19 @@ def char_poly(a) -> np.ndarray:
     for one finite square matrix, as a float64 array of char_poly_ints
     correctly rounded, +-inf where a coefficient overflows."""
     import numpy as np
-    m = _require_square(a)
-    if not np.isfinite(m).all():
-        raise ValueError("char_poly needs a finite matrix")
-    coeffs, s = char_poly_ints(m.tolist())
+    return np.array(rounded_poly(*char_poly_ints(_finite_rows(a, "char_poly"))))
+
+
+def rounded_poly(coeffs: list[int], s: int) -> list[float]:
+    """The coefficients C_k / 2^(s k) of char_poly_ints, each correctly
+    rounded to float64, +-inf where it overflows."""
     out = []
     for k, c in enumerate(coeffs):
         try:
             out.append(c / (1 << s * k) + 0.0)  # map -0.0 to +0.0
         except OverflowError:
             out.append(math.inf if c > 0 else -math.inf)
-    return np.array(out)
+    return out
 
 
 def is_hurwitz(coeffs) -> bool:
@@ -282,8 +270,10 @@ def is_hurwitz(coeffs) -> bool:
     c = [float(v) for v in coeffs]
     if len(c) < 2:
         raise ValueError("polynomial degree must be >= 1")
-    if c[0] == 0.0 or not all(map(math.isfinite, c)):
-        raise ValueError("leading coefficient must be nonzero and finite")
+    if not all(map(math.isfinite, c)):
+        raise ValueError("coefficients must be finite")
+    if c[0] == 0.0:
+        raise ValueError("leading coefficient must be nonzero")
     return is_hurwitz_ints(_as_ints(c)[0])
 
 

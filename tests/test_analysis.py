@@ -1,19 +1,27 @@
+import math
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
 
 from quadmodel import (
+    CHAINS_3DOF,
+    CHAINS_6DOF,
     MARGINAL_OR_UNSTABLE,
     STRICTLY_STABLE,
+    QuadParams,
     StateSpaceModel,
     analyze,
     build_3dof,
     build_6dof,
     controllability_matrix,
     controllability_rank,
+    nilpotency_index,
     observability_matrix,
     observability_rank,
 )
-from util import quad_params
+from util import fraction_rank, quad_params, wide_params
 
 
 def _with_matrices(m, A=None, B=None, C=None):
@@ -118,3 +126,97 @@ def test_analyze_stable_toy_system():
 def test_paper_models_are_never_strictly_stable(p):
     assert analyze(build_3dof(p)).stability_class == MARGINAL_OR_UNSTABLE
     assert analyze(build_6dof(p)).stability_class == MARGINAL_OR_UNSTABLE
+
+
+@pytest.mark.parametrize("scale, verdict", [(-1e200, STRICTLY_STABLE), (1e200, MARGINAL_OR_UNSTABLE)])
+def test_analyze_decides_stability_where_the_coefficients_overflow(scale, verdict):
+    # (lambda - a)^2 = lambda^2 - 2 a lambda + a^2, and a^2 = 1e400 is no float64
+    toy = StateSpaceModel(
+        A=scale * np.eye(2), B=np.eye(2), C=np.eye(2), D=np.zeros((2, 2)),
+        state_labels=("a", "b"), input_labels=("u1", "u2"), output_labels=("a", "b"),
+    )
+    rep = analyze(toy)
+    assert rep.stability_class == verdict
+    assert rep.open_loop_char_poly == (1.0, -2.0 * scale, math.inf)
+    assert (rep.controllability_rank, rep.observability_rank, rep.nilpotency_index) == (2, 2, None)
+
+
+# ---------------------------------------------------------------- exact oracles
+
+
+def fraction_matmul(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row) if x) for j in range(len(b[0]))]
+            for row in a]
+
+
+def fraction_kalman(a, b):
+    """[B, AB, ..., A^(n-1) B] of the stored float64 entries, in exact rationals."""
+    a = [[Fraction(x) for x in row] for row in a.tolist()]
+    block = [[Fraction(x) for x in row] for row in b.tolist()]
+    blocks = []
+    for _ in a:
+        blocks.append(block)
+        block = fraction_matmul(a, block)
+    return [sum((blk[i] for blk in blocks), []) for i in range(len(a))]
+
+
+def fraction_nilpotency(a):
+    """Smallest k <= n with A^k = 0 in exact rationals, or None."""
+    a = [[Fraction(x) for x in row] for row in a.tolist()]
+    power = a
+    for k in range(1, len(a) + 1):
+        if not any(map(any, power)):
+            return k
+        power = fraction_matmul(power, a)
+    return None
+
+
+def desk(**changes):
+    return QuadParams(**{**dict(m=1.0, d=0.25, c=0.01, Ix=0.01, Iy=0.01, Iz=0.02, g=9.81),
+                         **changes})
+
+
+# parameter sets validate accepts on which the float ranks and nilpotency
+# index read 8/12/4, 4/12/4, 10/12/4, 8/12/2 and 4/4/4 on 6DOF (and 4, 2, 6,
+# 6 and 4 for the 3DOF controllability rank)
+TABLE = [desk(Ix=1e8), desk(Ix=1e-12), desk(m=1e12), desk(g=1e-13),
+         desk(d=1e200, g=1e200, Ix=1.0, Iy=1.0)]
+
+
+def with_table(test):
+    """test, with each parameter set of TABLE as an explicit example."""
+    for p in TABLE:
+        test = example(p=p)(test)
+    return test
+
+
+def driven(m) -> bool:
+    """Every chain of the stored model has a nonzero input row: in 3DOF,
+    d/Ix, d/Iy or c/Iz can underflow to 0 for parameters validate accepts."""
+    chains = CHAINS_6DOF if m.n == 12 else CHAINS_3DOF
+    return all(m.B[ch.states[-1]].any() for ch in chains)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=wide_params)
+@with_table
+@example(p=desk(d=1e-200, Ix=1e200))  # 3DOF: d/Ix = 1e-400 is stored as 0
+def test_ranks_are_exact_over_the_whole_parameter_range(p):
+    for m in (build_6dof(p), build_3dof(p)):
+        ctrb, obsv = controllability_rank(m), observability_rank(m)
+        assert ctrb == fraction_rank(fraction_kalman(m.A, m.B))
+        assert obsv == fraction_rank(fraction_kalman(m.A.T, m.C.T)) == m.n
+        assert (ctrb == m.n) == driven(m)
+        assert driven(m) or m.n == 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=wide_params)
+@with_table
+def test_nilpotency_and_stability_are_exact_over_the_whole_parameter_range(p):
+    for m, index in ((build_6dof(p), 4), (build_3dof(p), 2)):
+        assert nilpotency_index(m.A) == fraction_nilpotency(m.A) == index
+        rep = analyze(m)
+        assert rep.nilpotency_index == index
+        assert rep.open_loop_char_poly == (1.0,) + (0.0,) * m.n
+        assert rep.stability_class == MARGINAL_OR_UNSTABLE

@@ -28,7 +28,8 @@ from quadmodel import (
     poles_to_monic,
     rank,
 )
-from util import assert_close, quad_params
+from quadmodel.linalg import span_add
+from util import assert_close, fraction_rank, quad_params
 
 SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -160,6 +161,24 @@ def test_rank_rejects_non_finite_matrix():
             rank([[1.0, bad], [0.0, 1.0]])
 
 
+small_ints = st.integers(-3, 3) | st.integers(-(2**200), 2**200)
+
+
+@settings(max_examples=200)
+@given(u=st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=1, max_size=8),
+       v=st.lists(st.lists(small_ints, min_size=1, max_size=8), min_size=3, max_size=3))
+def test_span_add_rank_is_the_exact_rank(u, v):
+    # u v has rank at most 3 of up to 8 rows: dependent rows are common
+    width = min(map(len, v))
+    a = [[sum(x * row[j] for x, row in zip(r, v)) for j in range(width)] for r in u]
+    basis = []
+    added = [span_add(basis, list(enumerate(row))) for row in a]
+    assert len(basis) == sum(added) == fraction_rank(a)
+    for j, (p, b) in enumerate(basis):  # an echelon form: zero at every earlier pivot
+        assert b[p] and math.gcd(*b.values()) == 1
+        assert not any(b.get(q) for q, _ in basis[:j])
+
+
 # ---------------------------------------------------------------- nilpotency
 
 
@@ -172,6 +191,24 @@ def test_nilpotency_index_basic():
 def test_nilpotency_index_requires_square():
     with pytest.raises(NotSquare):
         nilpotency_index(np.zeros((2, 3)))
+
+
+def test_nilpotency_index_is_exact_at_any_scale():
+    # a tolerance of 1e-12 * max(1, max|A|) read A^2 = 1e-13 as 0, and a
+    # matrix of one 1e-13 as nilpotent
+    assert nilpotency_index([[0, 1, 0], [0, 0, 1e-13], [0, 0, 0]]) == 3
+    assert nilpotency_index([[1e-13]]) is None
+    assert nilpotency_index([[0, 1e300, 0], [0, 0, 1e300], [0, 0, 0]]) == 3
+    assert nilpotency_index([[0, 5e-324], [0, 0]]) == 2
+    assert nilpotency_index(np.zeros((0, 0))) == 1
+    # A^2 = 0 by cancellation, not by sparsity
+    assert nilpotency_index([[1.0, 1.0], [-1.0, -1.0]]) == 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nilpotency_index_rejects_a_non_finite_matrix(bad):
+    with pytest.raises(ValueError, match=r"^nilpotency_index needs a finite matrix$"):
+        nilpotency_index([[0.0, bad], [0.0, 0.0]])
 
 
 def test_nilpotency_of_random_strict_triangles():
@@ -370,8 +407,13 @@ def test_is_hurwitz_zero_pivot_cases():
 def test_is_hurwitz_rejects_degenerate_input():
     with pytest.raises(ValueError):
         is_hurwitz([1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^leading coefficient must be nonzero$"):
         is_hurwitz([0.0, 1.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
+            is_hurwitz([1.0, 2.0, bad])
+        with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
+            is_hurwitz([bad, 1.0])
 
 
 def reference_is_hurwitz(coeffs) -> bool:
