@@ -1,6 +1,7 @@
 """Controllability, observability, and open-loop stability classification,
 each decided exactly for the model as stored, on the integers of linalg's
-kernel, at any scale of its entries.
+kernel, at any scale of its entries. analyze converts A to integers once
+and reads both ranks, the polynomial and the nilpotency index from it.
 
 Stability is reported as a binary class: strictly stable (Hurwitz) or not.
 Separating "marginal" from "unstable" for repeated eigenvalues at the
@@ -11,7 +12,7 @@ the claim that matters is "not asymptotically stable".
 from __future__ import annotations
 
 from ._record import Record
-from .linalg import (StateSpaceModel, char_poly_ints, int_rows, is_hurwitz_ints, nilpotency_index,
+from .linalg import (StateSpaceModel, _nilpotency_ints, _poly_ints, int_rows, is_hurwitz_ints,
                      rounded_poly, row_times, span_add)
 
 STRICTLY_STABLE = "strictly_stable"
@@ -47,36 +48,42 @@ def observability_matrix(m: StateSpaceModel) -> np.ndarray:
 
 
 def _kalman_rank(a, b) -> int:
-    """Rank of [B, AB, ..., A^(n-1) B], exactly: block k of (2^s A, 2^t B)
-    is a positive multiple of A^k B. The span grows block by block up to n,
-    or until a block adds nothing, when no later one can either (Kalman)."""
-    at = int_rows(a.T.tolist())[0]
-    block = int_rows(b.T.tolist())[0]  # the columns of 2^t B
+    """Rank of the span of b, b a, b a^2, ..., exactly, for integer rows as
+    int_rows gives them: block k is a positive multiple of (A^k B)^T on the
+    rows of (2^s A)^T and of 2^t B^T, and of C A^k on those of 2^s A and 2^t C.
+    The span grows block by block up to n, or until a block adds nothing,
+    when no later one can either (Kalman)."""
     basis: list = []
-    while sum(span_add(basis, col) for col in block) and len(basis) < len(at):
-        block = [row_times(col, at, 0).items() for col in block]
+    while sum(span_add(basis, row) for row in b) and len(basis) < len(a):
+        b = [row_times(row, a, 0).items() for row in b]
     return len(basis)
 
 
 def controllability_rank(m: StateSpaceModel) -> int:
-    return _kalman_rank(m.A, m.B)
+    return _kalman_rank(int_rows(m.A.T.tolist())[0], int_rows(m.B.T.tolist())[0])
 
 
 def observability_rank(m: StateSpaceModel) -> int:
-    return _kalman_rank(m.A.T, m.C.T)
+    return _kalman_rank(int_rows(m.A.tolist())[0], int_rows(m.C.tolist())[0])
 
 
 def analyze(m: StateSpaceModel) -> AnalysisReport:
-    """Full structural report on one model."""
-    ctrb = controllability_rank(m)
-    obsv = observability_rank(m)
-    poly = char_poly_ints(m.A.tolist())
+    """Full structural report on one model. The rows of (2^s A)^T are a
+    sparse transpose of those of 2^s A: s depends only on the nonzero values."""
+    a, s = int_rows(m.A.tolist())
+    at: list = [[] for _ in a]
+    for i, row in enumerate(a):
+        for k, v in row:
+            at[k].append((i, v))
+    ctrb = _kalman_rank(at, int_rows(m.B.T.tolist())[0])
+    obsv = _kalman_rank(a, int_rows(m.C.tolist())[0])
+    poly = _poly_ints(a)
     return AnalysisReport(
         controllability_rank=ctrb,
         observability_rank=obsv,
         is_controllable=ctrb == m.n,
         is_observable=obsv == m.n,
-        open_loop_char_poly=tuple(rounded_poly(*poly)),
-        stability_class=STRICTLY_STABLE if is_hurwitz_ints(poly[0]) else MARGINAL_OR_UNSTABLE,
-        nilpotency_index=nilpotency_index(m.A),
+        open_loop_char_poly=tuple(rounded_poly(poly, s)),
+        stability_class=STRICTLY_STABLE if is_hurwitz_ints(poly) else MARGINAL_OR_UNSTABLE,
+        nilpotency_index=_nilpotency_ints(a),
     )

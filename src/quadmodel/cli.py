@@ -59,6 +59,8 @@ OPTIONAL_PARAM_KEYS = tuple(QuadParams._field_defaults)
 PARAM_KEYS = tuple(k for k in QuadParams._fields if k not in OPTIONAL_PARAM_KEYS)
 
 DEFAULT_POLE = -2.0
+DEFAULT_POLES_OUT_OF_RANGE = ("these parameters put the default poles' gains beyond float64: a "
+                              "gain overflows or underflows, or a closed-loop entry overflows")
 
 CSV_BLOCK_ROWS = 64
 
@@ -304,8 +306,8 @@ def cmd_sim(args) -> int:
         try:
             K = design_rows(p, parse_pole_spec(args.poles, args.dof), args.dof)
             check_sampled_rows(a, b, K, cfg.dt)
-        except PolePlacementError as e:
-            raise InputError(str(e)) from e
+        except PolePlacementError as e:  # the default poles are valid: the parameters are at fault
+            raise InputError(str(e) if args.poles else DEFAULT_POLES_OUT_OF_RANGE) from e
         if args.gains_out:
             _write_gains(K, state_labels, model_inputs, args.gains_out)
 

@@ -6,11 +6,13 @@ expm_rows, and the exact kernel) works on nested lists of Python numbers,
 skips those zeros and imports no numpy; functions on float64 arrays import
 numpy when first called. The exact kernel decides on the integers 2^s A
 (int_rows): ranks by fraction-free elimination (span_add), nilpotency by
-powers, characteristic polynomials by a Hessenberg recurrence
-(open-loop A, continuous chain blocks) or else Faddeev-LeVerrier (dense 4x4
-sampled blocks), chosen from the nonzero pattern. No general eigensolver is
-used: the open-loop models are nilpotent (spectrum identically zero), and a
-closed loop is checked chain block by chain block (char_poly_ints + is_hurwitz_ints).
+powers (_nilpotency_ints), characteristic polynomials (_poly_ints) by a
+Hessenberg recurrence (open-loop A, continuous chain blocks) or else
+Faddeev-LeVerrier (dense 4x4 sampled blocks), chosen from the nonzero
+pattern. The cores take integer rows, so a caller converts a matrix once and
+reads every answer from it; char_poly_ints and nilpotency_index wrap them.
+No general eigensolver is used: the open-loop models are nilpotent, and a
+closed loop is checked chain block by chain block (_poly_ints + is_hurwitz_ints).
 The public rank is numerical, with a tolerance; the package does not call it.
 """
 
@@ -35,23 +37,18 @@ class NotNilpotent(ValueError):
     to a generic integrator (RK4)."""
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, square: bool) -> np.ndarray:
     import numpy as np
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def _require_square(a) -> np.ndarray:
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    if square and m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def _finite_rows(a, caller: str) -> list[list[float]]:
-    m = _require_square(a)
+    m = _as_matrix(a, square=True)
     if not math.isfinite(abs(m).max(initial=0.0)):  # NaN and inf reach the max
         raise ValueError(f"{caller} needs a finite matrix")
     return m.tolist()
@@ -68,7 +65,7 @@ def rank(a, rel_tol: float = 1e-9) -> int:
     import numpy as np
     if rel_tol <= 0.0:
         raise ValueError(f"rel_tol must be > 0, got {rel_tol!r}")
-    m = _as_matrix(a).copy()
+    m = _as_matrix(a, square=False).copy()
     top = float(abs(m).max(initial=0.0))  # NaN and inf reach the max
     if not math.isfinite(top):
         raise ValueError("rank needs a finite matrix")
@@ -85,8 +82,12 @@ def rank(a, rel_tol: float = 1e-9) -> int:
 
 def nilpotency_index(a) -> int | None:
     """Smallest k <= n with A^k = 0 exactly, or None when no power up to n
-    vanishes: the powers of 2^s A run on Python ints, for a finite A."""
-    rows = int_rows(_finite_rows(a, "nilpotency_index"))[0]
+    vanishes, for a finite A."""
+    return _nilpotency_ints(int_rows(_finite_rows(a, "nilpotency_index"))[0])
+
+
+def _nilpotency_ints(rows) -> int | None:
+    """nilpotency_index from the rows of int_rows: the powers of 2^s A run on ints."""
     power, k = rows, 1
     while any(power) and k < len(rows):  # power = (2^s A)^k
         power, k = [[(c, v) for c, v in row_times(r, rows, 0).items() if v] for r in power], k + 1
@@ -121,7 +122,9 @@ def expm_rows(a, b, t: float) -> tuple[list, list]:
     chain model. Term j of Phi is T_j = T_(j-1) (A t) / j and of Gamma
     T_(j-1) (B t) / j, on sparse rows: a row's series ends at its first term
     with no nonzero entry, where the powers of A end it, even if its entries
-    overflowed to inf on the way."""
+    overflowed to inf on the way. A step t that is not finite raises ValueError."""
+    if not math.isfinite(t):
+        raise ValueError(f"the step must be finite, got {t!r}")
     n = len(a)
     at, bt = nonzeros(a, t), nonzeros(b, t)
     phi = [[0.0] * n for _ in range(n)]
@@ -146,7 +149,7 @@ def expm_nilpotent(a, t: float) -> np.ndarray:
     """exp(A t) for nilpotent A, the Phi of expm_rows, as a float64 array:
     exact up to rounding, since the series terminates."""
     import numpy as np
-    m = _require_square(a)
+    m = _as_matrix(a, square=True)
     return np.array(expm_rows(m.tolist(), [[]] * len(m), t)[0]).reshape(m.shape)
 
 
@@ -186,16 +189,21 @@ def span_add(basis: list, row) -> bool:
 
 def char_poly_ints(a) -> tuple[list[int], int]:
     """det(lambda I - 2^s A) = sum C_k lambda^(n-k) for a finite nested-list
-    A, as the integers [1, C_1, ..., C_n] and s; c_k = C_k / 2^(s k).
-    Nothing rounds or overflows. If 2^s A or its transpose is upper Hessenberg
+    A, as the integers [1, C_1, ..., C_n] and s; c_k = C_k / 2^(s k)."""
+    rows, s = int_rows(a)
+    return _poly_ints(rows), s
+
+
+def _poly_ints(rows) -> list[int]:
+    """[1, C_1, ..., C_n] of char_poly_ints from the rows of int_rows: nothing
+    rounds or overflows. If 2^s A or its transpose is upper Hessenberg
     (every open-loop chain A and pole-placed chain block is), the recurrence
     _hessenberg_poly runs, else Faddeev-LeVerrier: C_k = -tr(A M_k) / k."""
-    rows, s = int_rows(a)
     n, u = len(rows), {(i, k): v for i, row in enumerate(rows) for k, v in row}
     if all(i <= k + 1 for i, k in u):  # upper Hessenberg
-        return _hessenberg_poly(n, u), s
+        return _hessenberg_poly(n, u)
     if all(k <= i + 1 for i, k in u):  # lower: its transpose is
-        return _hessenberg_poly(n, {(k, i): v for (i, k), v in u.items()}), s
+        return _hessenberg_poly(n, {(k, i): v for (i, k), v in u.items()})
     coeffs, am, c = [1], [{} for _ in rows], 1
     for k in range(1, n + 1):
         if c:  # M_k = A M_(k-1) + C_(k-1) I, in place
@@ -206,8 +214,8 @@ def char_poly_ints(a) -> tuple[list[int], int]:
         c = -sum(row.get(i, 0) for i, row in enumerate(am)) // k
         coeffs.append(c)
         if not any(am):  # A M_k = 0 and C_k = 0: so are all later ones
-            return coeffs + [0] * (n - k), s
-    return coeffs, s
+            return coeffs + [0] * (n - k)
+    return coeffs
 
 
 def _hessenberg_poly(n: int, u: dict) -> list[int]:

@@ -19,17 +19,17 @@ Feedback convention: u = r - K x, with r defaulting to the hover
 equilibrium input.
 
 Every design checks the closed loop A - B K it produced, chain block by chain
-block: the entries outside the blocks must be exactly 0 on both models, and
-each block of at most four states must be Hurwitz, exactly (char_poly_ints +
-is_hurwitz_ints). The check reads the matrix, and its chain table from the
-matrix's state count; it builds A - B K only at its nonzeros and finds the
-block of each in a per-state map. check_sampled_loop applies the same rule to
-the sampled loop Phi - Gamma K of a run on either plant: RK4 with held forces
-is exact on the nilpotent A, so Phi - Gamma K is the nonlinear step's Jacobian
-at hover. A request whose gains are not normal float64 numbers (true gains of
-left-half-plane poles are finite and nonzero), or whose closed loop overflows,
-is refused as a PolePlacementError, not reported as a defect; a sampled loop
-that leaves float64 is unstable at its dt.
+block (_chains_stable): the entries outside the blocks must be exactly 0 on
+both models, and each block of at most four states must be Hurwitz, exactly,
+on the integers of one shift of the whole loop. check_sampled_loop applies
+the same rule to the sampled loop Phi - Gamma K of a run on either plant: RK4
+with held forces is exact on the nilpotent A, so Phi - Gamma K is the
+nonlinear step's Jacobian at hover. A request whose gains are not normal
+float64 numbers (true gains of left-half-plane poles are finite and
+nonzero), or whose closed loop overflows, is refused as a
+PolePlacementError, not reported as a defect; a sampled loop that leaves
+float64 is unstable at its dt, and a dt that is not finite and > 0 is a
+ValueError.
 The gains and the checks run on Python floats and ints without numpy
 (design_rows, check_sampled_rows); the functions on numpy arrays wrap them.
 """
@@ -40,7 +40,7 @@ import math
 import sys
 
 from ._record import Record
-from .linalg import (StateSpaceModel, char_poly_ints, expm_rows, is_hurwitz_ints, matmul,
+from .linalg import (StateSpaceModel, _as_ints, _poly_ints, expm_rows, is_hurwitz_ints, matmul,
                      nonzeros, row_times)
 from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, LABELS, model_rows
 from .params import QuadParams, validate
@@ -274,6 +274,8 @@ def check_sampled_loop(model: StateSpaceModel, K, dt: float) -> None:
 
 def check_sampled_rows(a, b, K, dt: float) -> None:
     """check_sampled_loop for A, B and K given as nested lists."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"the sampled loop needs a finite step dt > 0, got {dt!r}")
     phi, gamma = expm_rows(a, b, dt)
     if not _chains_stable(phi, gamma, K, sampled=True):
         raise UnstableSampledLoop(
@@ -296,7 +298,10 @@ def _chains_stable(a, b, K, sampled: bool) -> bool:
 
     a - b K is built only at the nonzeros of a and of each row of b K, which
     row_times sums in matmul's order, so every entry keeps its bits; the
-    off-block rule looks the block of each up in a per-state map.
+    off-block rule looks the block of each up in a per-state map. One _as_ints
+    of the whole loop gives the integers of 2^s (a - b K), and every block's
+    rows are read from them: the roots of a block of 2^s D are those of D
+    times 2^s > 0, so any s that makes the loop integer gives the same verdicts.
 
     Continuous blocks must be Hurwitz. A sampled block F must have every
     eigenvalue strictly inside the unit circle. Its D = F - I is
@@ -326,8 +331,11 @@ def _chains_stable(a, b, K, sampled: bool) -> bool:
     block = _BLOCK[len(a)]
     if any(v and block[i] is not block[c] for (i, c), v in closed.items()):
         return False
+    ints, s = _as_ints(closed.values())
+    exact = dict(zip(closed, ints))
     for ch in _TABLES[len(a)]:
-        poly, s = char_poly_ints([[closed.get((i, j), 0.0) for j in ch.states] for i in ch.states])
+        poly = _poly_ints([[(k, v) for k, j in enumerate(ch.states) if (v := exact.get((i, j)))]
+                           for i in ch.states])
         if sampled:
             n, q = len(poly) - 1, [0] * len(poly)
             for k, c in enumerate(poly):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadmodel import (
     CHAINS_3DOF,
@@ -21,7 +22,8 @@ from quadmodel import (
     observability_matrix,
     observability_rank,
 )
-from util import fraction_rank, quad_params, wide_params
+from quadmodel.linalg import char_poly_ints, is_hurwitz_ints, rounded_poly
+from util import fraction_rank, log_uniform, quad_params, wide_params
 
 
 def _with_matrices(m, A=None, B=None, C=None):
@@ -220,3 +222,59 @@ def test_nilpotency_and_stability_are_exact_over_the_whole_parameter_range(p):
         assert rep.nilpotency_index == index
         assert rep.open_loop_char_poly == (1.0,) + (0.0,) * m.n
         assert rep.stability_class == MARGINAL_OR_UNSTABLE
+
+
+def composed_report(m) -> dict:
+    """analyze's fields from the public functions, each of which converts
+    the matrices to integers on its own."""
+    ctrb, obsv = controllability_rank(m), observability_rank(m)
+    coeffs, s = char_poly_ints(m.A.tolist())
+    return dict(
+        controllability_rank=ctrb, observability_rank=obsv,
+        is_controllable=ctrb == m.n, is_observable=obsv == m.n,
+        open_loop_char_poly=tuple(rounded_poly(coeffs, s)),
+        stability_class=STRICTLY_STABLE if is_hurwitz_ints(coeffs) else MARGINAL_OR_UNSTABLE,
+        nilpotency_index=nilpotency_index(m.A),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=wide_params)
+@with_table
+@example(p=desk(d=1e-200, Ix=1e200))
+def test_analyze_is_the_composition_of_the_public_functions(p):
+    for m in (build_6dof(p), build_3dof(p)):
+        assert vars(analyze(m)) == composed_report(m)
+
+
+# an entry: 0, a small integer, or a sign times any positive float64
+entry = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
+                  st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), log_uniform))
+
+
+def small_models(n):
+    """Models of n states, 1 or 2 inputs and outputs, with A, B and C
+    drawn from entry: mostly dense, so A is neither upper nor lower
+    Hessenberg and its polynomial takes the Faddeev-LeVerrier path."""
+    def matrix(rows, cols):
+        return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(
+            lambda v: np.array(v).reshape(rows, cols))
+
+    labels = tuple(f"x{i}" for i in range(n))
+    return st.integers(1, 2).flatmap(lambda k: st.builds(
+        StateSpaceModel, A=matrix(n, n), B=matrix(n, k), C=matrix(k, n),
+        D=st.just(np.zeros((k, k))), state_labels=st.just(labels),
+        input_labels=st.just(("u0", "u1")[:k]), output_labels=st.just(("y0", "y1")[:k])))
+
+
+DENSE = StateSpaceModel(
+    A=[[1.0, 2.0, 3.0], [-1e300, 0.0, 5e-324], [4.0, -2.0, 1e-10]], B=[[1.0], [0.0], [0.0]],
+    C=[[0.0, 0.0, 1.0]], D=[[0.0]], state_labels=("a", "b", "c"), input_labels=("u",),
+    output_labels=("y",))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 4).flatmap(small_models))
+@example(m=DENSE)
+def test_analyze_is_the_composition_on_small_dense_models(m):
+    assert vars(analyze(m)) == composed_report(m)

@@ -463,6 +463,26 @@ def test_poles_beyond_float64_are_an_input_error_not_a_defect(capsys, params_fil
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("poles,blamed", [
+    ((), "these parameters put the default poles' gains beyond float64"),
+    (("--poles=-2",), "the requested poles are too extreme for float64"),
+])
+def test_default_poles_beyond_float64_blame_the_parameters(capsys, tmp_path, poles, blamed):
+    # validate accepts d = 1e-200 with Ix = 1e200, and the default poles' torque
+    # gains through the inverse mixer's 1/d leave float64: without --poles the
+    # message names the parameters, not poles the user never gave
+    params_path, out_path = tmp_path / "p.json", tmp_path / "x.csv"
+    params_path.write_text('{"m": 1, "d": 1e-200, "c": 0.01, "Ix": 1e200, "Iy": 0.01, "Iz": 0.02}',
+                           encoding="utf-8")
+    code, out, err = run(capsys, "sim", "--dof", "3", "--params", str(params_path),
+                         "--mode", "closed", *poles, "--t-final", "1", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err == (f"quadmodel: error: {blamed}: a gain overflows or underflows, "
+                   "or a closed-loop entry overflows\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_fast_poles_with_normal_gains_run_at_a_step_to_match(capsys, params_file, tmp_path):
     out_path = tmp_path / "x.csv"
     code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,

@@ -98,6 +98,17 @@ def test_zoh_requires_nilpotent():
         zoh_step(stable, np.zeros(2), np.zeros(2), 0.1)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_zoh_refuses_a_step_that_is_not_finite(params, dt):
+    # the series of a nilpotent A is finite at any finite step; at a NaN or
+    # infinite one it gave NaN and inf entries without an error
+    m = build_6dof(params)
+    with pytest.raises(ValueError, match=r"^the step must be finite, got -?(nan|inf)$"):
+        zoh_discretize(m, dt)
+    with pytest.raises(ValueError, match=r"^the step must be finite"):
+        expm_nilpotent(m.A, dt)
+
+
 def test_propagator_is_invertible(params):
     for m in (build_3dof(params), build_6dof(params)):
         phi_fwd, _ = zoh_discretize(m, 0.01)

@@ -1,4 +1,5 @@
 import collections
+import math
 import warnings
 
 import numpy as np
@@ -32,7 +33,10 @@ from quadmodel import (
     simulate,
     zoh_discretize,
 )
-from quadmodel.stabilize import InternalStabilityCheckFailed, _chains_stable, _check_closed_loop
+from quadmodel.linalg import char_poly_ints, expm_rows, is_hurwitz_ints, matmul
+from quadmodel.models import CHAINS, model_rows
+from quadmodel.stabilize import (InternalStabilityCheckFailed, _chains_stable, _check_closed_loop,
+                                 check_sampled_rows, design_rows)
 from util import assert_close, quad_params
 
 negative_pole = st.floats(min_value=-5.0, max_value=-0.5)
@@ -415,6 +419,120 @@ def test_verdict_grid():
                         verdicts[dof, 4] += 1
     assert verdicts == {(6, 0): 711, (6, 4): 666, (6, 2): 4284,
                         (3, 0): 1395, (3, 4): 1332, (3, 2): 2934}
+
+
+def per_block_verdict(a, b, K, sampled: bool) -> bool:
+    """_chains_stable with each chain block on its own shift: char_poly_ints
+    of the block, through the bilinear map at T = 2^(s+1) when sampled, then
+    is_hurwitz_ints. The loop is formed in _chains_stable's order of
+    operations, (a - I) - b K when sampled, so every entry has its bits."""
+    n = len(a)
+    d = [[(x - (i == c) if sampled else x) - y for c, (x, y) in enumerate(zip(ra, rb))]
+         for i, (ra, rb) in enumerate(zip(a, matmul(b, K)))]
+    if not all(math.isfinite(x) for row in d for x in row):
+        if sampled:
+            return False
+        raise PolePlacementError("a closed-loop entry overflows")
+    chains = next(c for c in CHAINS.values() if sum(len(ch.states) for ch in c) == n)
+    block = {i: ch.name for ch in chains for i in ch.states}
+    if any(d[i][c] and block[i] != block[c] for i in range(n) for c in range(n)):
+        return False
+    for ch in chains:
+        poly, s = char_poly_ints([[d[i][j] for j in ch.states] for i in ch.states])
+        if sampled:
+            k_max, q = len(poly) - 1, [0] * len(poly)
+            for k, c in enumerate(poly):
+                for j in range(k + 1):
+                    q[k - j] += (-1) ** j * math.comb(k, j) * (c << (s + 1) * (k_max - k))
+            if not q[0]:
+                return False
+            poly = q
+        if not is_hurwitz_ints(poly):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(GRID_PARAMS), dof=st.sampled_from([6, 3]), e=st.integers(-155, 155),
+       dt=st.sampled_from([1e-6, 1e-3, 0.3]))
+def test_one_shift_for_the_loop_gives_the_per_block_verdicts_on_the_grid(p, dof, e, dt):
+    # test_verdict_grid's requests, where a design exists (|e| <= 76 on 6DOF)
+    spec = (PoleSpec.uniform_6dof if dof == 6 else PoleSpec.uniform_3dof)(-(10.0 ** e))
+    try:
+        K = design_rows(p, spec, dof)
+    except PolePlacementError:
+        assume(False)
+    a, b = model_rows(p, dof)
+    assert _chains_stable(a, b, K, sampled=False) is per_block_verdict(a, b, K, False) is True
+    phi, gamma = expm_rows(a, b, dt)
+    assert _chains_stable(phi, gamma, K, sampled=True) is per_block_verdict(phi, gamma, K, True)
+
+
+def scaled_blocks(dof, blocks, exponents):
+    """A block-diagonal loop a, with b K = 0, whose chain blocks are the
+    given square lists, each times 2^e."""
+    n = 12 if dof == 6 else 6
+    a = [[0.0] * n for _ in range(n)]
+    for ch, blk, e in zip(CHAINS[dof], blocks, exponents):
+        for r, i in enumerate(ch.states):
+            for c, j in enumerate(ch.states):
+                a[i][j] = math.ldexp(blk[r][c], e)
+    return a, [[0.0] * 4 for _ in range(n)], [[0.0] * n for _ in range(4)]
+
+
+def block_loops(dof):
+    """(dof, one square block per chain with entries in [-1.5, 1.5], one
+    binary exponent per block from -1070 to 1000)."""
+    sizes = [len(ch.states) for ch in CHAINS[dof]]
+    blocks = st.tuples(*(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=k, max_size=k),
+                                  min_size=k, max_size=k) for k in sizes))
+    exponents = st.lists(st.integers(-1070, 1000), min_size=len(sizes), max_size=len(sizes))
+    return st.tuples(st.just(dof), blocks, exponents)
+
+
+# 6DOF loops whose z, roll, pitch and yaw blocks sit at 2^-1070, 2^-40, 2^0
+# and 2^900, stable in every block: the one shift of the loop, about 1,070,
+# comes from the z block, and the yaw block alone needs none. WIDE_A is
+# Hurwitz, and WIDE_F has every eigenvalue inside the unit circle (its yaw
+# block is nilpotent)
+WIDE_EXPONENTS = [-1070, -40, 0, 900]
+WIDE_A = (6, ([[0.0, 1.0], [-1.0, -1.5]],
+              [[-1.0, 1.0, 0.0, 0.0], [0.0, -1.0, 1.0, 0.0], [0.0, 0.0, -1.0, 1.0],
+               [-0.5, 0.25, 0.0, -1.0]],
+              [[-0.5, 1.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, -0.5, 1.0],
+               [0.0, 0.0, 0.0, -0.25]],
+              [[-0.25, 1.5], [-1.5, -0.25]]), WIDE_EXPONENTS)
+WIDE_F = (6, ([[0.5, 1.0], [-1.0, -1.5]],
+              [[0.5, 1.0, 0.0, 0.0], [0.0, -0.5, 1.0, 0.0], [0.0, 0.0, 0.25, 1.0],
+               [-0.5, 0.25, 0.0, -0.25]],
+              [[-0.5, 1.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0],
+               [0.0, 0.0, 0.0, 0.25]],
+              [[0.0, 1.5], [0.0, 0.0]]), WIDE_EXPONENTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(loop=st.sampled_from([6, 3]).flatmap(block_loops), sampled=st.booleans())
+@example(loop=WIDE_A, sampled=False)
+@example(loop=WIDE_F, sampled=True)
+def test_one_shift_for_the_loop_gives_the_per_block_verdicts_far_apart(loop, sampled):
+    a, b, K = scaled_blocks(*loop)
+    assert _chains_stable(a, b, K, sampled) is per_block_verdict(a, b, K, sampled)
+
+
+def test_the_pinned_far_apart_loops_are_stable():
+    assert _chains_stable(*scaled_blocks(*WIDE_A), sampled=False) is True
+    assert _chains_stable(*scaled_blocks(*WIDE_F), sampled=True) is True
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+def test_sampled_checks_refuse_a_step_that_is_not_finite_and_positive(params, dt):
+    # before, nan, 0 and -1e-3 were refused as "unstable at dt=..."
+    m = build_6dof(params)
+    K = design_6dof_gains(params, PoleSpec.uniform_6dof(-2.0)).K
+    with pytest.raises(ValueError, match=r"^the sampled loop needs a finite step dt > 0, got "):
+        check_sampled_loop(m, K, dt)
+    with pytest.raises(ValueError, match=r"^the sampled loop needs a finite step dt > 0, got "):
+        check_sampled_rows(m.A.tolist(), m.B.tolist(), K.tolist(), dt)
 
 
 def test_a_zero_gain_at_desk_poles_is_a_defect_not_a_range_error(params):
