@@ -15,7 +15,8 @@ Exit codes are fixed for scriptability:
 Error paths print a one-line diagnostic on stderr and nothing on stdout.
 
 `sim` opens its CSV only after the run succeeded, so no exit 4 leaves
-one, and writes it as UTF-8 bytes, CSV_BLOCK_ROWS rows per %-format.
+one, and writes it as UTF-8 bytes, CSV_BLOCK_ROWS rows per %-format: the
+blocks a linear run is held in from its first step, which lowers peak RSS.
 
 `sim --plant linear` runs on Python floats and never imports numpy; numpy
 is imported only by the commands and plant that need it.
@@ -33,6 +34,7 @@ from .models import CHAINS, LABELS, ROTOR_FORCE_LABELS, build_3dof, build_6dof, 
 from .params import ParameterError, QuadParams, hover_thrust_per_rotor, validate
 from .rotor_forces import GeneralizedInput, RotorForces, demix, mix
 from .simulate import (
+    CSV_BLOCK_ROWS,
     NonFiniteDerivative,
     NonFiniteState,
     SimConfig,
@@ -61,8 +63,6 @@ PARAM_KEYS = tuple(k for k in QuadParams._fields if k not in OPTIONAL_PARAM_KEYS
 DEFAULT_POLE = -2.0
 DEFAULT_POLES_OUT_OF_RANGE = ("these parameters put the default poles' gains beyond float64: a "
                               "gain overflows or underflows, or a closed-loop entry overflows")
-
-CSV_BLOCK_ROWS = 64
 
 
 class InputError(Exception):
@@ -335,9 +335,7 @@ def cmd_sim(args) -> int:
         # 3DOF model (which adds no torque, so regulation is unaffected).
         r = ([0.0 if args.dof == 6 else hover] * 4 if args.mode == "closed"
              else parse_assignments(args.input, input_labels, "input"))
-        rows = feedback_rows(a, b, K, r, x0, cfg)
-        step = CSV_BLOCK_ROWS * (1 + len(state_labels) + len(input_labels))
-        blocks = (rows[lo : lo + step] for lo in range(0, len(rows), step))
+        blocks = feedback_rows(a, b, K, r, x0, cfg)
 
     try:
         with open(args.out, "wb") as fh:

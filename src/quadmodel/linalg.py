@@ -146,11 +146,11 @@ def expm_rows(a, b, t: float) -> tuple[list, list]:
 
 
 def expm_nilpotent(a, t: float) -> np.ndarray:
-    """exp(A t) for nilpotent A, the Phi of expm_rows, as a float64 array:
-    exact up to rounding, since the series terminates."""
+    """exp(A t) for a finite nilpotent A, the Phi of expm_rows, as a float64
+    array: exact up to rounding, since the series terminates."""
     import numpy as np
-    m = _as_matrix(a, square=True)
-    return np.array(expm_rows(m.tolist(), [[]] * len(m), t)[0]).reshape(m.shape)
+    rows = _finite_rows(a, "expm_nilpotent")
+    return np.array(expm_rows(rows, [[]] * len(rows), t)[0]).reshape(len(rows), len(rows))
 
 
 def _as_ints(values) -> tuple[list[int], int]:
@@ -163,8 +163,11 @@ def _as_ints(values) -> tuple[list[int], int]:
 
 def int_rows(a) -> tuple[list[list[tuple[int, int]]], int]:
     """The rows of 2^s A as the (column, int) pairs of their nonzeros, for a
-    finite nested-list A, with s >= 0 the least shift that makes them integers."""
-    ints, s = _as_ints([x for row in a for x in row if x])
+    finite nested-list A (else ValueError), with s >= 0 the least shift to integers."""
+    try:
+        ints, s = _as_ints([x for row in a for x in row if x])
+    except (OverflowError, ValueError):  # inf, NaN: no integer ratio
+        raise ValueError("the exact kernel needs a finite matrix") from None
     it = iter(ints)  # in the order of the nonzeros, row by row
     return [[(k, next(it)) for k in compress(range(len(row)), row)] for row in a], s
 

@@ -20,15 +20,17 @@ nonlinear plant hands the state to forces_fn, so it checks every step and
 raises NonFiniteDerivative at the step that overflowed, an infinite angle
 included. The CLI maps both to exit code 4.
 
-feedback_rows runs the linear feedback loop on Python floats without
-numpy; the functions on numpy arrays import it when first called.
+feedback_rows runs the linear feedback loop on Python floats without numpy,
+into the CSV's blocks of CSV_BLOCK_ROWS rows: 8.7 KB blocks reuse the heap
+that compiling the package freed, where one 680 KB run buffer maps fresh
+pages. The functions on numpy arrays import numpy when first called.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import islice
+from itertools import chain, islice
 
 from ._record import Record
 from .linalg import StateSpaceModel, expm_rows, matmul, nonzeros
@@ -40,6 +42,7 @@ INTEGRATORS = ("exact_zoh", "rk4")
 PLANTS = ("linear_3dof", "linear_6dof", "nonlinear_6dof")
 
 MAX_STEPS = 10_000_000
+CSV_BLOCK_ROWS = 64  # rows per block of a feedback run and of the CSV
 
 
 class StepCountExceeded(ValueError):
@@ -181,17 +184,17 @@ def simulate(
                 states[i + 1] = x
         except NonFiniteDerivative:
             # rk4_step refuses a non-finite step; a bad input comes first
-            _raise_first_non_finite(table[: i + 1].ravel().tolist(), n, table.shape[1])
+            _raise_first_non_finite(table[: i + 1].tolist(), n, table.shape[1])
             raise
     inputs[steps] = np.asarray(input_fn(times[steps], x), dtype=float).reshape(p)
     if not np.isfinite(table).all():
-        _raise_first_non_finite(table.ravel().tolist(), n, table.shape[1])
-    return _trajectory(table, n, p, m.state_labels, m.input_labels)
+        _raise_first_non_finite(table.tolist(), n, table.shape[1])
+    return Trajectory(times, states, inputs, m.state_labels, m.input_labels)
 
 
 def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajectory:
     """Propagate a linear model from x0 under the held input u = r - K x:
-    feedback_rows, as a Trajectory of views into its table (exact ZOH only).
+    feedback_rows' blocks joined once, as a Trajectory of views (exact ZOH only).
 
     At K = 0 the times and inputs equal those of simulate with input_fn
     returning r, bit for bit; the states agree within 1e-12 of each
@@ -208,34 +211,39 @@ def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajector
             f"need K of shape {(m.p, m.n)} and r of shape {(m.p,)}, got {K.shape} and {r.shape}"
         )
     x = np.asarray(x0, dtype=float).reshape(m.n)
-    rows = feedback_rows(m.A.tolist(), m.B.tolist(), K.tolist(), r.tolist(), x.tolist(), cfg)
-    return _trajectory(rows, m.n, m.p, m.state_labels, m.input_labels)
+    blocks = feedback_rows(m.A.tolist(), m.B.tolist(), K.tolist(), r.tolist(), x.tolist(), cfg)
+    t, x, u = np.split(np.concatenate(blocks).reshape(-1, 1 + m.n + m.p), [1, 1 + m.n], axis=1)
+    return Trajectory(t[:, 0], x, u, m.state_labels, m.input_labels)
 
 
-def _trajectory(rows, n: int, p: int, state_labels, input_labels) -> Trajectory:
-    """A run's rows (t, x, u), flat or as a 2-D table, as a Trajectory of
-    views into them."""
-    import numpy as np
-    t = np.frombuffer(rows).reshape(-1, 1 + n + p)
-    return Trajectory(t[:, 0], t[:, 1 : 1 + n], t[:, 1 + n :], state_labels, input_labels)
-
-
-def feedback_rows(a, b, K, r, x0, cfg: SimConfig) -> array:
-    """The run of simulate_feedback on nested lists, as one array('d') of
-    rows t, x, u (8 bytes a value, as in numpy). Each step is x+ = c + F x
-    and u = r + (-K) x with F = Phi - Gamma K and c = Gamma r, each row
-    summed from its offset over its nonzeros, so a 6DOF step costs the
-    chain blocks, and at K = 0 each input keeps r's bits, -0.0 too."""
+def feedback_rows(a, b, K, r, x0, cfg: SimConfig) -> list[array]:
+    """The run of simulate_feedback on nested lists, as array('d') blocks of
+    CSV_BLOCK_ROWS rows t, x, u, only the last one partial. Each step is
+    x+ = c + F x and u = r + (-K) x with F = Phi - Gamma K and c = Gamma r
+    (_held_offset), each row summed from its offset over its nonzeros, so a
+    6DOF step costs the chain blocks, and at K = 0 each input keeps r's bits, -0.0 too."""
     phi, gamma = expm_rows(a, b, cfg.dt)
     rows = [[p - q for p, q in zip(pr, qr)] for pr, qr in zip(phi, matmul(gamma, K))]
-    offsets = [c for (c,) in matmul(gamma, [[v] for v in r])]
+    offsets = [_held_offset(pairs, r) for pairs in nonzeros(gamma)]
     step = _step_function(rows, offsets, [[-v for v in row] for row in K], r)
-    out, x, dt = array("d"), tuple(x0), cfg.dt
-    for i in range(cfg.n_steps + 1):
-        row, x = step(i * dt, *x)
-        out.extend(row)
-    _raise_first_non_finite(out, len(a), 1 + len(a) + len(r))
-    return out
+    blocks, x, dt, n = [], tuple(x0), cfg.dt, cfg.n_steps + 1
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        blocks.append(block := array("d"))
+        for i in range(lo, min(lo + CSV_BLOCK_ROWS, n)):
+            row, x = step(i * dt, *x)
+            block.extend(row)
+    _raise_first_non_finite(blocks, len(a), 1 + len(a) + len(r))
+    return blocks
+
+
+def _held_offset(pairs, r) -> float:
+    """Row i of Gamma r from its (k, v) pairs, written out as mix writes
+    d (f2 - f4): the r_k that share one |v| are summed first, signed, so
+    equal rotor forces give exactly 0 where each v r_k may overflow."""
+    sums = {}
+    for k, v in pairs:
+        sums[abs(v)] = sums.get(abs(v), 0.0) + (r[k] if v > 0 else -r[k])
+    return sum((v * s for v, s in sums.items()), 0.0)
 
 
 def _step_function(f_rows, c, k_rows, r):
@@ -254,18 +262,18 @@ def _step_function(f_rows, c, k_rows, r):
     return eval(source, names)
 
 
-def _raise_first_non_finite(rows, n: int, width: int) -> None:
-    """Raise NonFiniteState at the first non-finite value of a run's flat
-    rows (t, x, u), state row 0 aside: step i reads input i before it writes
-    state i + 1, which is the rows' order, and NaN and inf survive + and *."""
+def _raise_first_non_finite(blocks, n: int, width: int) -> None:
+    """Raise NonFiniteState at the first non-finite value of a run's blocks
+    of flat rows (t, x, u), state row 0 aside: step i reads input i before it
+    writes state i + 1, which is the rows' order, and NaN and inf survive + and *."""
     # a finite sum is the common case; an infinite one may be overflow alone
-    values = islice(rows, 1 + n, None)
-    if math.isfinite(sum(values)) or all(map(math.isfinite, islice(rows, 1 + n, None))):
+    if math.isfinite(sum(map(sum, blocks))):
         return
-    at = next(k for k in range(1 + n, len(rows)) if not math.isfinite(rows[k]))
-    i, col = divmod(at, width)
-    raise NonFiniteState(f"{'state' if col <= n else 'input'} became non-finite at "
-                         f"t={rows[i * width]:g}")
+    for k, v in enumerate(islice(chain.from_iterable(blocks), 1 + n, None), 1 + n):
+        if not math.isfinite(v):
+            i, col = divmod(k, width)
+            t = next(islice(chain.from_iterable(blocks), i * width, None))
+            raise NonFiniteState(f"{'state' if col <= n else 'input'} became non-finite at t={t:g}")
 
 
 def nonlinear_deriv(p: QuadParams, x, f: RotorForces) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from quadmodel import (
     PoleSpec,
+    QuadParams,
     RotorForces,
     SimConfig,
     Trajectory,
@@ -342,6 +343,37 @@ def test_runtime_blowup_is_exit_4(capsys, params_file, tmp_path):
     assert code == 4 and out == ""
     assert len(err.strip().split("\n")) == 1
     assert not (tmp_path / "x.csv").exists()  # the run fails before the file is opened
+
+
+@pytest.mark.parametrize("vx,t", [("1e308", "0.8"), ("1.2562e308", "0.64"), ("1.27e308", "0.63")])
+@pytest.mark.parametrize("before", [None, b"kept"])
+def test_first_non_finite_row_past_a_block_edge_is_exit_4(capsys, params_file, tmp_path, vx, t,
+                                                         before):
+    # x = 1e308 overflows at row 80 (block 2), 64 (its first row) or 63 (the
+    # last row of block 1); the scan of all blocks runs before the file opens
+    out_path = tmp_path / "x.csv"
+    if before is not None:
+        out_path.write_bytes(before)
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--x0", f"x=1e308,vx={vx}", "--t-final", "1", "--dt", "0.01",
+                         "--out", str(out_path))
+    assert (code, out) == (4, "")
+    assert err == f"quadmodel: simulation failed: state became non-finite at t={t}\n"
+    assert (out_path.read_bytes() if out_path.exists() else None) == before
+
+
+def test_3dof_closed_loop_holds_hover_where_the_offset_products_overflow(capsys, tmp_path):
+    # m g / 4 = 2.45e300 N per rotor and d / Ix = 1e24: each product of the
+    # offset Gamma r overflows, and inf - inf once read as a non-finite state
+    doc = {"m": 1e300, "d": 1e12, "c": 1e12, "Ix": 1e-12, "Iy": 1e-12, "Iz": 1e-12}
+    params_path, out_path = tmp_path / "p.json", tmp_path / "x.csv"
+    params_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "sim", "--dof", "3", "--params", str(params_path),
+                         "--mode", "closed", "--t-final", "0.01", "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    _, rows = read_csv(out_path)
+    assert rows.shape == (11, 11) and not rows[:, 1:7].any()
+    assert (rows[:, 7:] == hover_thrust_per_rotor(QuadParams(**doc))).all()
 
 
 def test_nonlinear_angle_overflow_is_exit_4(capsys, params_file, tmp_path):

@@ -28,7 +28,7 @@ from quadmodel import (
     poles_to_monic,
     rank,
 )
-from quadmodel.linalg import span_add
+from quadmodel.linalg import char_poly_ints, int_rows, span_add
 from util import assert_close, fraction_rank, quad_params
 
 SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -237,6 +237,12 @@ def test_expm_rejects_non_nilpotent():
         expm_nilpotent(np.eye(2), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_rejects_a_non_finite_matrix(bad):
+    with pytest.raises(ValueError, match=r"^expm_nilpotent needs a finite matrix$"):
+        expm_nilpotent([[0.0, bad], [0.0, 0.0]], 1.0)
+
+
 def test_expm_semigroup_property():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -380,6 +386,14 @@ def test_char_poly_of_the_pinned_6dof_loops_is_correctly_rounded(z_yaw):
 def test_char_poly_rejects_a_non_finite_matrix(bad):
     with pytest.raises(ValueError, match=r"^char_poly needs a finite matrix$"):
         char_poly([[1.0, bad], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("convert", [char_poly_ints, int_rows])
+def test_integer_conversion_rejects_a_non_finite_matrix(convert, bad):
+    # float.as_integer_ratio raises OverflowError on inf, which is no ValueError
+    with pytest.raises(ValueError, match=r"^the exact kernel needs a finite matrix$"):
+        convert([[0.0, bad], [0.0, 0.0]])
 
 
 # ---------------------------------------------------------------- is_hurwitz

@@ -1,4 +1,6 @@
 import math
+from array import array
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +34,10 @@ from quadmodel import (
     zoh_discretize,
     zoh_step,
 )
+from quadmodel.linalg import expm_rows, matmul
+from quadmodel.models import model_rows
+from quadmodel.simulate import CSV_BLOCK_ROWS, feedback_rows
+from quadmodel.stabilize import design_rows
 from util import assert_close, quad_params
 
 
@@ -406,6 +412,73 @@ def test_feedback_reports_a_non_finite_state_first(params):
     with pytest.raises(NonFiniteState, match=r"^state became non-finite at t=0\.8$"):
         simulate_feedback(m, x0, np.zeros((4, 12)), np.zeros(4),
                           SimConfig(t_final=1.0, dt=0.01))
+
+
+def _flat_feedback_rows(a, b, K, r, x0, cfg):
+    """The rows of the loop x+ = c + F x, u = r + (-K) x as one flat
+    array('d'), each entry summed left to right from its offset over its
+    nonzero coefficients, with c = Gamma r by matmul."""
+    phi, gamma = expm_rows(a, b, cfg.dt)
+    f = [[p - q for p, q in zip(pr, qr)] for pr, qr in zip(phi, matmul(gamma, K))]
+    c = [v for (v,) in matmul(gamma, [[v] for v in r])]
+
+    def row_sum(start, coeffs, x):
+        for v, xj in zip(coeffs, x):
+            if v:
+                start = start + v * xj
+        return start
+
+    out, x = array("d"), list(x0)
+    for i in range(cfg.n_steps + 1):
+        out.extend([i * cfg.dt, *x, *(row_sum(rk, [-v for v in row], x) for rk, row in zip(r, K))])
+        x = [row_sum(ck, row, x) for ck, row in zip(c, f)]
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 512, 513])
+@pytest.mark.parametrize("dof,mode", [(6, "closed"), (6, "open"), (3, "closed")])
+def test_feedback_rows_are_whole_blocks_of_the_flat_runs_bytes(params, dof, mode, rows):
+    a, b = model_rows(params, dof)
+    n = len(a)
+    K = [[0.0] * n for _ in range(4)]
+    r = [0.3, -0.01, 0.02, -0.004]
+    if mode == "closed":  # about the hover equilibrium, as sim runs it
+        spec = PoleSpec.uniform_6dof() if dof == 6 else PoleSpec.uniform_3dof()
+        K = design_rows(params, spec, dof)
+        r = [0.0 if dof == 6 else hover_thrust_per_rotor(params)] * 4
+    x0 = [0.1 * (-1) ** j / (j + 1) for j in range(n)]
+    cfg = SimpleNamespace(dt=0.01, n_steps=rows - 1)  # all feedback_rows reads of a SimConfig
+    blocks = feedback_rows(a, b, K, r, x0, cfg)
+    full, last = divmod(rows, CSV_BLOCK_ROWS)
+    sizes = [CSV_BLOCK_ROWS] * full + ([last] if last else [])
+    assert all(type(block) is array and block.typecode == "d" for block in blocks)
+    assert [len(block) for block in blocks] == [k * (1 + n + 4) for k in sizes]
+    joined = array("d")
+    for block in blocks:
+        joined.extend(block)
+    assert joined.tobytes() == _flat_feedback_rows(a, b, K, r, x0, cfg).tobytes()
+
+
+@pytest.mark.parametrize("vx,row", [(1e308, 80), (1.2562e308, 64), (1.27e308, 63)])
+def test_feedback_rows_reports_the_first_bad_row_across_blocks(params, vx, row):
+    # x = 1e308 overflows at row 80 (block 2), 64 (its first row) or 63 (the
+    # last row of block 1), and every later state row is non-finite too
+    a, b = model_rows(params, 6)
+    x0 = [1e308, 0.0, 0.0, vx] + [0.0] * 8
+    with pytest.raises(NonFiniteState, match=rf"^state became non-finite at t={row / 100:g}$"):
+        feedback_rows(a, b, [[0.0] * 12] * 4, [0.0] * 4, x0, SimConfig(t_final=1.0, dt=0.01))
+
+
+def test_3dof_hover_offset_is_exactly_zero_where_its_products_overflow():
+    # each rotor holds m g / 4 = 2.45e300 N and d / Ix = 1e24: every product
+    # of Gamma r overflows, but equal rotor forces add no torque
+    p = QuadParams(m=1e300, d=1e12, c=1e12, Ix=1e-12, Iy=1e-12, Iz=1e-12)
+    a, b = model_rows(p, 3)
+    hover = hover_thrust_per_rotor(p)
+    K = design_rows(p, PoleSpec.uniform_3dof(), 3)
+    blocks = feedback_rows(a, b, K, [hover] * 4, [0.0] * 6, SimConfig(t_final=0.01, dt=1e-3))
+    rows = np.concatenate(blocks).reshape(-1, 11)
+    assert len(rows) == 11 and not rows[:, 1:7].any() and (rows[:, 7:] == hover).all()
 
 
 @pytest.mark.parametrize("cfg,k_shape,r_shape,message", [
