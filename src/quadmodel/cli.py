@@ -16,10 +16,11 @@ Error paths print a one-line diagnostic on stderr and nothing on stdout.
 
 `sim` opens its CSV only after the run succeeded, so no exit 4 leaves
 one, and writes it as UTF-8 bytes, CSV_BLOCK_ROWS rows per %-format: the
-blocks a linear run is held in from its first step, which lowers peak RSS.
+blocks a run on either plant is held in from its first step, which lowers
+peak RSS.
 
-`sim --plant linear` runs on Python floats and never imports numpy; numpy
-is imported only by the commands and plant that need it.
+`sim` runs both plants on Python floats and never imports numpy; numpy is
+imported only by the commands that need it.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ import json
 import math
 import sys
 
-from .linalg import StateSpaceModel
+from .linalg import StateSpaceModel, nonzeros
 from .models import CHAINS, LABELS, ROTOR_FORCE_LABELS, build_3dof, build_6dof, model_rows
 from .params import ParameterError, QuadParams, hover_thrust_per_rotor, validate
-from .rotor_forces import GeneralizedInput, RotorForces, demix, mix
+from .rotor_forces import GeneralizedInput, RotorForces, demix, demix_values, mix
 from .simulate import (
     CSV_BLOCK_ROWS,
     NonFiniteDerivative,
@@ -40,10 +41,9 @@ from .simulate import (
     SimConfig,
     Trajectory,
     feedback_rows,
-    simulate_nonlinear,
+    nonlinear_rows,
 )
 from .stabilize import (
-    GainMatrix,
     InternalStabilityCheckFailed,
     PolePlacementError,
     PoleSpec,
@@ -231,17 +231,13 @@ def csv_chunks(labels, blocks):
 
 
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """The CSV of a Trajectory's times, states and inputs, to a text handle."""
-    labels = traj.state_labels + traj.input_labels
-    fh.writelines(chunk.decode() for chunk in csv_chunks(labels, _blocks(traj)))
-
-
-def _blocks(traj: Trajectory):
-    """A Trajectory's rows, CSV_BLOCK_ROWS at a time, as flat lists."""
+    """The CSV of a Trajectory's times, states and inputs, to a text handle,
+    CSV_BLOCK_ROWS rows at a time."""
     import numpy as np
-    arrays = (traj.times, traj.states, traj.inputs)
-    for lo in range(0, len(traj), CSV_BLOCK_ROWS):
-        yield np.column_stack([a[lo : lo + CSV_BLOCK_ROWS] for a in arrays]).ravel().tolist()
+    arrays, labels = (traj.times, traj.states, traj.inputs), traj.state_labels + traj.input_labels
+    blocks = (np.column_stack([a[lo : lo + CSV_BLOCK_ROWS] for a in arrays]).ravel().tolist()
+              for lo in range(0, len(traj), CSV_BLOCK_ROWS))
+    fh.writelines(chunk.decode() for chunk in csv_chunks(labels, blocks))
 
 
 def cmd_model(args) -> int:
@@ -288,14 +284,8 @@ def cmd_sim(args) -> int:
     input_labels = ROTOR_FORCE_LABELS if nonlinear else model_inputs
     x0 = parse_assignments(args.x0, state_labels, "state")
 
-    plant_name = "nonlinear_6dof" if nonlinear else f"linear_{args.dof}dof"
     try:
-        cfg = SimConfig(
-            t_final=args.t_final,
-            dt=args.dt,
-            integrator="rk4" if nonlinear else "exact_zoh",
-            plant=plant_name,
-        )
+        cfg = SimConfig(t_final=args.t_final, dt=args.dt)
     except ValueError as e:
         raise InputError(str(e)) from e
 
@@ -311,24 +301,16 @@ def cmd_sim(args) -> int:
         if args.gains_out:
             _write_gains(K, state_labels, model_inputs, args.gains_out)
 
-    if nonlinear:
-        if args.mode == "open":
-            base = parse_assignments(args.input, input_labels, "input", defaults=[hover] * 4)
-            held = RotorForces(*base)
+    if nonlinear and args.mode == "open":
+        held = tuple(parse_assignments(args.input, input_labels, "input", defaults=[hover] * 4))
+        blocks = nonlinear_rows(p, lambda t, x: held, x0, cfg)
+    elif nonlinear:  # u = -K x over K's nonzeros, demixed: an overflow fails the step
+        gains = nonzeros(K, -1.0)
 
-            def forces_fn(t, x):
-                return held
+        def forces(t, x):
+            return demix_values(*[sum([v * x[j] for j, v in row], 0.0) for row in gains], p)
 
-        else:
-            gains = GainMatrix(K, state_labels, model_inputs)
-
-            def forces_fn(t, x):
-                u = gains.feedback_input(x)
-                if not all(map(math.isfinite, u)):
-                    raise NonFiniteState("feedback input became non-finite")
-                return demix(GeneralizedInput(*u), p)
-
-        blocks = _blocks(simulate_nonlinear(p, x0, forces_fn, cfg))
+        blocks = nonlinear_rows(p, forces, x0, cfg)
     else:
         # open loop holds r; closed loop r = hover equilibrium input: zero in
         # the 6DOF deviation coordinates, equal per-rotor hover thrust for the

@@ -99,21 +99,25 @@ def mix(f: RotorForces, p: QuadParams) -> GeneralizedInput:
 
 
 def demix(u: GeneralizedInput, p: QuadParams) -> RotorForces:
-    """Exact inverse of mix: the unique rotor-force quadruple producing ``u``,
-    M^-1 (u + (m g, 0, 0, 0)) written out, which is faster than a matvec.
+    """Exact inverse of mix: the unique rotor-force quadruple producing ``u``.
 
     Never clamps: a commanded input that needs a rotor to pull downward
     comes back with a negative entry; use is_physical to detect saturation.
     """
-    quarter = (u.u1 + p.m * p.g) / 4.0
-    half_roll = u.u2 / (2.0 * p.d)
-    half_pitch = u.u3 / (2.0 * p.d)
-    quarter_yaw = u.u4 / (4.0 * p.c)
-    return RotorForces(
-        f1=quarter + half_pitch - quarter_yaw,
-        f2=quarter + half_roll + quarter_yaw,
-        f3=quarter - half_pitch - quarter_yaw,
-        f4=quarter - half_roll + quarter_yaw,
+    return RotorForces(*demix_values(u.u1, u.u2, u.u3, u.u4, p))
+
+
+def demix_values(u1: float, u2: float, u3: float, u4: float, p: QuadParams) -> tuple:
+    """M^-1 (u + (m g, 0, 0, 0)) written out, unchecked: overflow gives inf or NaN."""
+    quarter = (u1 + p.m * p.g) / 4.0
+    half_roll = u2 / (2.0 * p.d)
+    half_pitch = u3 / (2.0 * p.d)
+    quarter_yaw = u4 / (4.0 * p.c)
+    return (
+        quarter + half_pitch - quarter_yaw,
+        quarter + half_roll + quarter_yaw,
+        quarter - half_pitch - quarter_yaw,
+        quarter - half_roll + quarter_yaw,
     )
 
 

@@ -20,10 +20,11 @@ nonlinear plant hands the state to forces_fn, so it checks every step and
 raises NonFiniteDerivative at the step that overflowed, an infinite angle
 included. The CLI maps both to exit code 4.
 
-feedback_rows runs the linear feedback loop on Python floats without numpy,
-into the CSV's blocks of CSV_BLOCK_ROWS rows: 8.7 KB blocks reuse the heap
-that compiling the package freed, where one 680 KB run buffer maps fresh
-pages. The functions on numpy arrays import numpy when first called.
+feedback_rows (the linear feedback loop) and nonlinear_rows (the nonlinear
+plant under held forces) run on Python floats without numpy, into the CSV's
+blocks of CSV_BLOCK_ROWS rows: 8.7 KB blocks reuse the heap that compiling
+the package freed, where one 680 KB run buffer maps fresh pages. The
+functions on numpy arrays import numpy when first called.
 """
 
 from __future__ import annotations
@@ -239,10 +240,13 @@ def feedback_rows(a, b, K, r, x0, cfg: SimConfig) -> list[array]:
 def _held_offset(pairs, r) -> float:
     """Row i of Gamma r from its (k, v) pairs, written out as mix writes
     d (f2 - f4): the r_k that share one |v| are summed first, signed, so
-    equal rotor forces give exactly 0 where each v r_k may overflow."""
+    equal rotor forces give exactly 0 where each v r_k may overflow. Where a
+    sum overflows, the row is the sum of the products v r_k instead."""
     sums = {}
     for k, v in pairs:
         sums[abs(v)] = sums.get(abs(v), 0.0) + (r[k] if v > 0 else -r[k])
+    if not all(map(math.isfinite, sums.values())):  # opposite forces overflowed
+        return sum((v * r[k] for k, v in pairs), 0.0)
     return sum((v * s for v, s in sums.items()), 0.0)
 
 
@@ -317,39 +321,48 @@ def simulate_nonlinear(
 
     Always integrates with RK4 (there is no exact propagator here);
     forces are sampled at each step start and held, mirroring the linear
-    simulator so the two runs are comparable sample by sample.
+    simulator so the two runs are comparable sample by sample. The run is
+    nonlinear_rows' in one block, with x handed to forces_fn as an array.
     """
     import numpy as np
     validate(p)
     if cfg.plant != "nonlinear_6dof":
         raise ValueError("simulate_nonlinear requires cfg.plant = 'nonlinear_6dof'")
-    x = np.asarray(x0, dtype=float).reshape(12)
-    steps = cfg.n_steps
-    times = np.arange(steps + 1) * cfg.dt
-    states = np.empty((steps + 1, 12))
-    inputs = np.empty((steps + 1, 4))
+    x0 = np.asarray(x0, dtype=float).reshape(12).tolist()
+    [run] = nonlinear_rows(p, lambda t, x: forces_fn(t, np.array(x)).as_tuple(), x0, cfg,
+                           cfg.n_steps + 1)
+    t, x, f = np.split(np.frombuffer(run).reshape(-1, 17), [1, 13], axis=1)
+    return Trajectory(t[:, 0], x, f, DOF6_STATE_LABELS, ROTOR_FORCE_LABELS)
 
-    states[0] = x
-    xs = x.tolist()
-    for i in range(steps):
-        t = times[i]
-        f = forces_fn(t, x)
-        forces = f.as_tuple()
-        inputs[i] = forces
-        # forces_fn sees x, so a non-finite state never gets past its step
-        try:
-            xs = _rk4_held_forces(p, xs, forces, cfg.dt)
-            finite = all(map(math.isfinite, xs))
-        except ValueError:  # math.sin or math.cos of an infinite angle
-            finite = False
-        if not finite:
-            raise NonFiniteDerivative(
-                f"derivative produced non-finite values on the step at t={float(t):g}"
-            )
-        x = np.array(xs)
-        states[i + 1] = x
-    inputs[steps] = forces_fn(times[steps], x).as_tuple()
-    return Trajectory(times, states, inputs, DOF6_STATE_LABELS, ROTOR_FORCE_LABELS)
+
+def nonlinear_rows(p: QuadParams, forces, x0, cfg: SimConfig,
+                   rows: int = CSV_BLOCK_ROWS) -> list[array]:
+    """simulate_nonlinear's run as feedback_rows returns its own: array('d')
+    blocks of `rows` rows t, x, F. forces(t, x), x a tuple of floats, gives
+    the forces held from t; each step raises NonFiniteDerivative if it left
+    the finite floats, and the last forces, which drive no step, are checked."""
+    blocks, x, dt, n = [], tuple(x0), cfg.dt, cfg.n_steps + 1
+    for lo in range(0, n, rows):
+        blocks.append(block := array("d"))
+        for i in range(lo, min(lo + rows, n)):
+            t = i * dt
+            f = forces(t, x)
+            block.fromlist([t, *x, *f])
+            if i == n - 1:
+                break
+            try:
+                x = _rk4_held_forces(p, x, f, dt)
+                # a finite sum is the common case; an infinite one may be overflow alone
+                finite = math.isfinite(sum(x)) or all(map(math.isfinite, x))
+            except ValueError:  # math.sin or math.cos of an infinite angle
+                finite = False
+            if not finite:
+                raise NonFiniteDerivative(
+                    f"derivative produced non-finite values on the step at t={t:g}"
+                )
+    if not all(map(math.isfinite, f)):
+        raise NonFiniteState(f"input became non-finite at t={t:g}")
+    return blocks
 
 
 def _rk4_held_forces(p: QuadParams, x, forces, dt: float) -> tuple[float, ...]:

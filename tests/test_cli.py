@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from quadmodel import (
+    DOF6_STATE_LABELS,
+    GeneralizedInput,
     PoleSpec,
     QuadParams,
     RotorForces,
     SimConfig,
     Trajectory,
     build_6dof,
+    demix,
     design_6dof_gains,
     hover_thrust_per_rotor,
     simulate_feedback,
@@ -205,6 +208,36 @@ def test_sim_csv_bytes_match_per_value_formatting(capsys, params, params_file, t
     assert out_path.read_bytes() == _reference_csv(traj).encode()
 
 
+@pytest.mark.parametrize("x0", ["z=0.5,theta=0.05", "z=-0.3,phi=0.02,phi_dot=0.1",
+                                "x=0.2,y=-0.1,phi=0.05,theta=0.05"])
+def test_sim_nonlinear_closed_loop_matches_the_numpy_feedback(capsys, params, params_file,
+                                                              tmp_path, x0):
+    # sim sums u = -K x over K's nonzeros in Python; the API run under the
+    # numpy feedback demix(-K @ x) rounds differently, within 1e-12 of each
+    # column's max |value|, and a column that is exactly zero there (psi and
+    # psi_dot: no yaw torque acts) is exactly zero in the file too
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--plant", "nonlinear", "--mode", "closed", "--poles=-3",
+                         "--x0", x0, "--t-final", "1", "--dt", "0.001", "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    k_matrix = design_6dof_gains(params, PoleSpec.uniform_6dof(-3.0)).K
+    start = np.zeros(12)
+    for part in x0.split(","):
+        label, value = part.split("=")
+        start[DOF6_STATE_LABELS.index(label)] = float(value)
+    cfg = SimConfig(t_final=1.0, dt=0.001, integrator="rk4", plant="nonlinear_6dof")
+    traj = simulate_nonlinear(params, start,
+                              lambda t, x: demix(GeneralizedInput(*(-k_matrix @ x)), params), cfg)
+    ref = np.column_stack([traj.times, traj.states, traj.inputs])
+    _, rows = read_csv(out_path)
+    assert rows.shape == ref.shape == (1001, 17)
+    assert np.all(np.abs(rows - ref) <= 1e-12 * np.abs(ref).max(axis=0))
+    zero = ~ref.any(axis=0)
+    assert zero[[9, 12]].all()  # psi and psi_dot
+    assert not rows[:, zero].any()
+
+
 def test_sim_deterministic(capsys, params_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -376,6 +409,18 @@ def test_3dof_closed_loop_holds_hover_where_the_offset_products_overflow(capsys,
     assert (rows[:, 7:] == hover_thrust_per_rotor(QuadParams(**doc))).all()
 
 
+def test_opposite_forces_whose_sum_overflows_use_the_products(capsys, params_file, tmp_path):
+    # F2 - F4 = 2e308 overflows where d F2 and d F4 do not: the offset
+    # Gamma r then sums the products, and the run diverges at t=0.036, not
+    # at its first step
+    code, out, err = run(capsys, "sim", "--dof", "3", "--params", params_file,
+                         "--input", "F2=1e308,F4=-1e308", "--t-final", "1",
+                         "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (4, "")
+    assert err == "quadmodel: simulation failed: state became non-finite at t=0.036\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_nonlinear_angle_overflow_is_exit_4(capsys, params_file, tmp_path):
     # theta grows by 1e307 rad/s until math.sin would see an infinite angle
     code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
@@ -385,6 +430,22 @@ def test_nonlinear_angle_overflow_is_exit_4(capsys, params_file, tmp_path):
     assert code == 4 and out == ""
     assert err == ("quadmodel: simulation failed: derivative produced non-finite "
                    "values on the step at t=17.97\n")
+
+
+def test_nonlinear_closed_loop_force_overflow_is_exit_4(capsys, tmp_path):
+    # u = -K x overflows on the roll torque at d = 1 mm, and demix turns it
+    # into forces of -inf and inf, which fail the first step: exit 4 with
+    # one line, not a ValueError traceback from the rotor force record
+    doc = {"m": 1, "d": 0.001, "c": 0.01, "Ix": 0.01, "Iy": 0.01, "Iz": 0.02}
+    params_path, out_path = tmp_path / "p.json", tmp_path / "x.csv"
+    params_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", str(params_path),
+                         "--plant", "nonlinear", "--mode", "closed", "--x0", "phi_dot=1e307",
+                         "--t-final", "0.01", "--dt", "0.001", "--out", str(out_path))
+    assert (code, out) == (4, "")
+    assert err == ("quadmodel: simulation failed: derivative produced non-finite "
+                   "values on the step at t=0\n")
+    assert not out_path.exists()
 
 
 def test_bad_dt_is_exit_2(capsys, params_file, tmp_path):

@@ -36,7 +36,7 @@ from quadmodel import (
 )
 from quadmodel.linalg import expm_rows, matmul
 from quadmodel.models import model_rows
-from quadmodel.simulate import CSV_BLOCK_ROWS, feedback_rows
+from quadmodel.simulate import CSV_BLOCK_ROWS, feedback_rows, nonlinear_rows
 from quadmodel.stabilize import design_rows
 from util import assert_close, quad_params
 
@@ -615,3 +615,32 @@ def test_nonlinear_overflow_is_reported_at_its_step(params, position, rate):
     cfg = SimConfig(t_final=2.0, dt=0.01, integrator="rk4", plant="nonlinear_6dof")
     with pytest.raises(NonFiniteDerivative, match=r"on the step at t=0\.97$"):
         simulate_nonlinear(params, x0, _hover_forces_fn(params), cfg)
+
+
+@pytest.mark.parametrize("rows", [2, 63, 64, 65, 513])
+def test_nonlinear_rows_are_whole_blocks_of_simulate_nonlinears_table(params, rows):
+    # the CLI's 64-row blocks and the API's one block come from one loop
+    h = hover_thrust_per_rotor(params)
+    f = RotorForces(h + 0.01, h - 0.02, h + 0.03, h - 0.01)
+    x0 = [0.1 * (-1) ** j / (j + 1) for j in range(12)]
+    cfg = SimConfig(t_final=(rows - 1) * 0.01, dt=0.01, integrator="rk4", plant="nonlinear_6dof")
+    assert cfg.n_steps + 1 == rows
+    blocks = nonlinear_rows(params, lambda t, x: f.as_tuple(), x0, cfg)
+    full, last = divmod(rows, CSV_BLOCK_ROWS)
+    sizes = [CSV_BLOCK_ROWS] * full + ([last] if last else [])
+    assert all(type(block) is array and block.typecode == "d" for block in blocks)
+    assert [len(block) for block in blocks] == [k * 17 for k in sizes]
+    traj = simulate_nonlinear(params, x0, lambda t, x: f, cfg)
+    table = np.column_stack([traj.times, traj.states, traj.inputs])
+    assert b"".join(block.tobytes() for block in blocks) == table.tobytes()
+
+
+def test_nonlinear_rows_check_the_last_forces_which_drive_no_step(params):
+    h = hover_thrust_per_rotor(params)
+    cfg = SimConfig(t_final=0.02, dt=0.01)
+
+    def forces(t, x):  # finite until the last row
+        return (h, h, h, math.inf if t > 0.015 else h)
+
+    with pytest.raises(NonFiniteState, match=r"^input became non-finite at t=0\.02$"):
+        nonlinear_rows(params, forces, [0.0] * 12, cfg)
