@@ -1,17 +1,23 @@
 """Quadcopter LTI state-space toolkit: parameters, rotor-force algebra,
 model construction, structural analysis, simulation, and stabilization.
 
-The package is lazy (PEP 562): each name is imported from its module on
-first access and then cached here, so `import quadmodel` and the linear
-`quadmodel sim` never import numpy. Loading a submodule binds its name
-here, so `quadmodel.simulate` (and `from quadmodel import simulate`) is the
-function simulate, bound once over its module, as an eager package bound
-it; `importlib.import_module("quadmodel.simulate")` gives the module.
+The package is split in two. The float core (every module but arrays)
+works on nested lists of Python floats and the exact integer kernel, and
+every CLI command runs on it alone. The numpy face (quadmodel.arrays)
+holds the records and functions on float64 arrays, for library callers.
+
+Names resolve lazily (PEP 562), here and in each core module: a name is
+imported from its module on first access and then cached, and a core
+module's numpy twin (linalg.StateSpaceModel, simulate.simulate, ...) loads
+the numpy face only when it is first asked for. So `import quadmodel` and
+every CLI command import no numpy. `quadmodel.simulate` (and `from quadmodel
+import simulate`) is the function simulate, as an eager package bound it,
+even after its module is imported; `importlib.import_module(
+"quadmodel.simulate")` gives the module.
 """
 
+import sys
 from importlib import import_module
-
-from .simulate import simulate
 
 # each line: a module, then names it defines (a module may take more lines)
 _EXPORTS = """
@@ -49,3 +55,24 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(_HOME) | _MODULES)
+
+
+def _twin(module: str, name: str, twins: str):
+    """The __getattr__ of a core module: `name`, if it is one of its numpy
+    twins (space-separated), from the numpy face, cached in the module."""
+    if name not in twins.split():
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.arrays"), name)
+    setattr(sys.modules[module], name, value)
+    return value
+
+
+class _Package(type(sys)):
+    def __setattr__(self, name, value):
+        # the import system binds each submodule it loads here; the module
+        # simulate must not hide the function, which __getattr__ finds
+        if name != "simulate" or not isinstance(value, type(sys)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

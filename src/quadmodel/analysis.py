@@ -1,7 +1,10 @@
 """Controllability, observability, and open-loop stability classification,
 each decided exactly for the model as stored, on the integers of linalg's
-kernel, at any scale of its entries. analyze converts A to integers once
-and reads both ranks, the polynomial and the nilpotency index from it.
+kernel, at any scale of its entries. analyze_rows converts A to integers
+once and reads both ranks, the polynomial and the nilpotency index from
+it, without numpy, for the CLI. The functions that take a
+StateSpaceModel (analyze wraps analyze_rows) read its arrays, and only
+the Kalman matrices build arrays of their own.
 
 Stability is reported as a binary class: strictly stable (Hurwitz) or not.
 Separating "marginal" from "unstable" for repeated eigenvalues at the
@@ -12,8 +15,8 @@ the claim that matters is "not asymptotically stable".
 from __future__ import annotations
 
 from ._record import Record
-from .linalg import (StateSpaceModel, _nilpotency_ints, _poly_ints, int_rows, is_hurwitz_ints,
-                     rounded_poly, row_times, span_add)
+from .linalg import (_nilpotency_ints, _poly_ints, int_rows, is_hurwitz_ints, rounded_poly,
+                     row_times, span_add)
 
 STRICTLY_STABLE = "strictly_stable"
 MARGINAL_OR_UNSTABLE = "marginal_or_unstable"
@@ -68,21 +71,27 @@ def observability_rank(m: StateSpaceModel) -> int:
 
 
 def analyze(m: StateSpaceModel) -> AnalysisReport:
-    """Full structural report on one model. The rows of (2^s A)^T are a
-    sparse transpose of those of 2^s A: s depends only on the nonzero values."""
-    a, s = int_rows(m.A.tolist())
+    """Full structural report on one model: analyze_rows of its matrices."""
+    return analyze_rows(m.A.tolist(), m.B.tolist(), m.C.tolist())
+
+
+def analyze_rows(a, b, c) -> AnalysisReport:
+    """analyze for A, B and C given as nested lists, without numpy. The rows
+    of (2^s A)^T are a sparse transpose of those of 2^s A: s depends only on
+    the nonzero values."""
+    a, s = int_rows(a)
     at: list = [[] for _ in a]
     for i, row in enumerate(a):
         for k, v in row:
             at[k].append((i, v))
-    ctrb = _kalman_rank(at, int_rows(m.B.T.tolist())[0])
-    obsv = _kalman_rank(a, int_rows(m.C.tolist())[0])
+    ctrb = _kalman_rank(at, int_rows(list(zip(*b)))[0])
+    obsv = _kalman_rank(a, int_rows(c)[0])
     poly = _poly_ints(a)
     return AnalysisReport(
         controllability_rank=ctrb,
         observability_rank=obsv,
-        is_controllable=ctrb == m.n,
-        is_observable=obsv == m.n,
+        is_controllable=ctrb == len(a),
+        is_observable=obsv == len(a),
         open_loop_char_poly=tuple(rounded_poly(poly, s)),
         stability_class=STRICTLY_STABLE if is_hurwitz_ints(poly) else MARGINAL_OR_UNSTABLE,
         nilpotency_index=_nilpotency_ints(a),

@@ -19,8 +19,11 @@ one, and writes it as UTF-8 bytes, CSV_BLOCK_ROWS rows per %-format: the
 blocks a run on either plant is held in from its first step, which lowers
 peak RSS.
 
-`sim` runs both plants on Python floats and never imports numpy; numpy is
-imported only by the commands that need it.
+Every command runs on the package's float core: `model` prints the nested
+lists of models.model_matrices, `analyze` reads them through
+analysis.analyze_rows, and `sim` runs both plants on Python floats. None
+imports numpy or the numpy face, quadmodel.arrays, where this module's
+write_trajectory_csv lives and resolves here lazily.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ import json
 import math
 import sys
 
-from .linalg import StateSpaceModel, nonzeros
-from .models import CHAINS, LABELS, ROTOR_FORCE_LABELS, build_3dof, build_6dof, model_rows
+from . import _twin
+from .linalg import nonzeros
+from .models import CHAINS, LABELS, ROTOR_FORCE_LABELS, model_matrices, model_rows
 from .params import ParameterError, QuadParams, hover_thrust_per_rotor, validate
 from .rotor_forces import GeneralizedInput, RotorForces, demix, demix_values, mix
 from .simulate import (
@@ -39,7 +43,6 @@ from .simulate import (
     NonFiniteDerivative,
     NonFiniteState,
     SimConfig,
-    Trajectory,
     feedback_rows,
     nonlinear_rows,
 )
@@ -106,19 +109,14 @@ def load_params(path: str) -> QuadParams:
     return validate(QuadParams(**values))
 
 
-def model_to_dict(m: StateSpaceModel) -> dict:
-    return {
-        "n": m.n,
-        "p": m.p,
-        "q": m.q,
-        "A": m.A.tolist(),
-        "B": m.B.tolist(),
-        "C": m.C.tolist(),
-        "D": m.D.tolist(),
-        "state_labels": list(m.state_labels),
-        "input_labels": list(m.input_labels),
-        "output_labels": list(m.output_labels),
-    }
+def model_to_dict(matrices, labels) -> dict:
+    """The JSON document of `model`: the sizes, the nested lists A, B, C and
+    D, and the state, input and output labels."""
+    a, b, c, _ = matrices
+    doc = {"n": len(a), "p": len(b[0]), "q": len(c)}
+    doc.update(zip("ABCD", matrices))
+    doc.update(zip(("state_labels", "input_labels", "output_labels"), map(list, labels)))
+    return doc
 
 
 def _matrix_lines(name, mat, row_labels, col_labels):
@@ -128,7 +126,7 @@ def _matrix_lines(name, mat, row_labels, col_labels):
         for j in range(len(col_labels))
     ]
     label_w = max((len(s) for s in row_labels), default=0)
-    lines = [f"{name} ({mat.shape[0]}x{mat.shape[1]}):"]
+    lines = [f"{name} ({len(row_labels)}x{len(col_labels)}):"]
     lines.append(
         " " * (label_w + 2) + "  ".join(col_labels[j].rjust(widths[j]) for j in range(len(col_labels)))
     )
@@ -140,12 +138,15 @@ def _matrix_lines(name, mat, row_labels, col_labels):
     return lines
 
 
-def format_model_pretty(m: StateSpaceModel, title: str) -> str:
-    lines = [f"{title} state-space model: n={m.n} states, p={m.p} inputs, q={m.q} outputs", ""]
-    lines += _matrix_lines("A", m.A, m.state_labels, m.state_labels)
-    lines += _matrix_lines("B", m.B, m.state_labels, m.input_labels)
-    lines += _matrix_lines("C", m.C, m.output_labels, m.state_labels)
-    lines += _matrix_lines("D", m.D, m.output_labels, m.input_labels)
+def format_model_pretty(matrices, labels, title: str) -> str:
+    """The text of `model --format pretty` for the nested lists A, B, C and
+    D and the state, input and output labels."""
+    states, inputs, outputs = labels
+    lines = [f"{title} state-space model: n={len(states)} states, p={len(inputs)} inputs, "
+             f"q={len(outputs)} outputs", ""]
+    for name, mat, rows, cols in zip("ABCD", matrices, (states, states, outputs, outputs),
+                                     (states, inputs, states, inputs)):
+        lines += _matrix_lines(name, mat, rows, cols)
     return "\n".join(lines).rstrip("\n")
 
 
@@ -230,32 +231,20 @@ def csv_chunks(labels, blocks):
         yield (row * (len(block) // width)) % tuple(block)
 
 
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """The CSV of a Trajectory's times, states and inputs, to a text handle,
-    CSV_BLOCK_ROWS rows at a time."""
-    import numpy as np
-    arrays, labels = (traj.times, traj.states, traj.inputs), traj.state_labels + traj.input_labels
-    blocks = (np.column_stack([a[lo : lo + CSV_BLOCK_ROWS] for a in arrays]).ravel().tolist()
-              for lo in range(0, len(traj), CSV_BLOCK_ROWS))
-    fh.writelines(chunk.decode() for chunk in csv_chunks(labels, blocks))
-
-
 def cmd_model(args) -> int:
-    p = load_params(args.params)
-    model = build_3dof(p) if args.dof == 3 else build_6dof(p)
+    matrices = model_matrices(load_params(args.params), args.dof)
     if args.format == "json":
-        print(json.dumps(model_to_dict(model), indent=2))
+        print(json.dumps(model_to_dict(matrices, LABELS[args.dof]), indent=2))
     else:
-        print(format_model_pretty(model, f"{args.dof}DOF"))
+        print(format_model_pretty(matrices, LABELS[args.dof], f"{args.dof}DOF"))
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import analyze
+    from .analysis import analyze_rows
 
-    p = load_params(args.params)
-    model = build_3dof(p) if args.dof == 3 else build_6dof(p)
-    print(json.dumps(vars(analyze(model)), indent=2))
+    a, b, c, _ = model_matrices(load_params(args.params), args.dof)
+    print(json.dumps(vars(analyze_rows(a, b, c)), indent=2))
     return EXIT_OK
 
 
@@ -426,3 +415,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+def __getattr__(name):  # the numpy twin, in quadmodel.arrays
+    return _twin(__name__, name, "write_trajectory_csv")

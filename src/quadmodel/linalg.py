@@ -1,19 +1,20 @@
-"""Small dense-matrix numerics and the generic LTI state-space container.
+"""Small dense-matrix numerics on nested lists of Python numbers, and the
+exact integer kernel: the float core's linear algebra.
 
 The matrices in this problem are tiny (at most 12x48, or 72x12) with
-exact-formula entries, mostly exact zeros. The core (nonzeros, matmul,
-expm_rows, and the exact kernel) works on nested lists of Python numbers,
-skips those zeros and imports no numpy; functions on float64 arrays import
-numpy when first called. The exact kernel decides on the integers 2^s A
+exact-formula entries, mostly exact zeros, which nonzeros, matmul and
+expm_rows skip. The exact kernel decides on the integers 2^s A
 (int_rows): ranks by fraction-free elimination (span_add), nilpotency by
 powers (_nilpotency_ints), characteristic polynomials (_poly_ints) by a
 Hessenberg recurrence (open-loop A, continuous chain blocks) or else
 Faddeev-LeVerrier (dense 4x4 sampled blocks), chosen from the nonzero
 pattern. The cores take integer rows, so a caller converts a matrix once and
-reads every answer from it; char_poly_ints and nilpotency_index wrap them.
+reads every answer from it; char_poly_ints wraps them.
 No general eigensolver is used: the open-loop models are nilpotent, and a
 closed loop is checked chain block by chain block (_poly_ints + is_hurwitz_ints).
-The public rank is numerical, with a tolerance; the package does not call it.
+The numpy twins (StateSpaceModel, char_poly, expm_nilpotent, is_hurwitz,
+nilpotency_index, and rank, which is numerical, with a tolerance, and which
+the package does not call) live in quadmodel.arrays and resolve here lazily.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from ._record import Record
+from . import _twin
 
 
 class DimensionMismatch(ValueError):
@@ -37,57 +38,9 @@ class NotNilpotent(ValueError):
     to a generic integrator (RK4)."""
 
 
-def _as_matrix(a, square: bool) -> np.ndarray:
-    import numpy as np
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if square and m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def _finite_rows(a, caller: str) -> list[list[float]]:
-    m = _as_matrix(a, square=True)
-    if not math.isfinite(abs(m).max(initial=0.0)):  # NaN and inf reach the max
-        raise ValueError(f"{caller} needs a finite matrix")
-    return m.tolist()
-
-
-def rank(a, rel_tol: float = 1e-9) -> int:
-    """Numerical rank by row reduction with partial pivoting.
-
-    A pivot counts iff its magnitude exceeds rel_tol * max(1, max|a|),
-    the max taken over the original matrix, which must be finite. The
-    pivot of a column is the first row of largest magnitude on or below
-    the current one, and it trades places with the current row.
-    """
-    import numpy as np
-    if rel_tol <= 0.0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol!r}")
-    m = _as_matrix(a, square=False).copy()
-    top = float(abs(m).max(initial=0.0))  # NaN and inf reach the max
-    if not math.isfinite(top):
-        raise ValueError("rank needs a finite matrix")
-    thresh = rel_tol * max(1.0, top)
-    r = 0
-    for col in range(m.shape[1]):
-        if r < len(m) and abs(m[r:, col]).max() > thresh:
-            piv = r + int(abs(m[r:, col]).argmax())
-            m[[r, piv]] = m[[piv, r]]
-            m[r + 1:, col:] -= np.outer(m[r + 1:, col] / m[r, col], m[r, col:])
-            r += 1
-    return r
-
-
-def nilpotency_index(a) -> int | None:
-    """Smallest k <= n with A^k = 0 exactly, or None when no power up to n
-    vanishes, for a finite A."""
-    return _nilpotency_ints(int_rows(_finite_rows(a, "nilpotency_index"))[0])
-
-
 def _nilpotency_ints(rows) -> int | None:
-    """nilpotency_index from the rows of int_rows: the powers of 2^s A run on ints."""
+    """The smallest k <= n with A^k = 0 exactly, or None when no power up
+    to n vanishes, from the rows of int_rows: the powers of 2^s A run on ints."""
     power, k = rows, 1
     while any(power) and k < len(rows):  # power = (2^s A)^k
         power, k = [[(c, v) for c, v in row_times(r, rows, 0).items() if v] for r in power], k + 1
@@ -143,14 +96,6 @@ def expm_rows(a, b, t: float) -> tuple[list, list]:
         else:
             raise NotNilpotent(f"no power A^j with j <= {n} vanishes; use integrator='rk4'")
     return phi, gamma
-
-
-def expm_nilpotent(a, t: float) -> np.ndarray:
-    """exp(A t) for a finite nilpotent A, the Phi of expm_rows, as a float64
-    array: exact up to rounding, since the series terminates."""
-    import numpy as np
-    rows = _finite_rows(a, "expm_nilpotent")
-    return np.array(expm_rows(rows, [[]] * len(rows), t)[0]).reshape(len(rows), len(rows))
 
 
 def _as_ints(values) -> tuple[list[int], int]:
@@ -243,14 +188,6 @@ def _hessenberg_poly(n: int, u: dict) -> list[int]:
     return polys[-1]
 
 
-def char_poly(a) -> np.ndarray:
-    """Monic characteristic polynomial [1, c1, ..., cn] of det(lambda I - A)
-    for one finite square matrix, as a float64 array of char_poly_ints
-    correctly rounded, +-inf where a coefficient overflows."""
-    import numpy as np
-    return np.array(rounded_poly(*char_poly_ints(_finite_rows(a, "char_poly"))))
-
-
 def rounded_poly(coeffs: list[int], s: int) -> list[float]:
     """The coefficients C_k / 2^(s k) of char_poly_ints, each correctly
     rounded to float64, +-inf where it overflows."""
@@ -261,31 +198,6 @@ def rounded_poly(coeffs: list[int], s: int) -> list[float]:
         except OverflowError:
             out.append(math.inf if c > 0 else -math.inf)
     return out
-
-
-def is_hurwitz(coeffs) -> bool:
-    """True iff every root of the given real polynomial has strictly
-    negative real part, decided by the Routh array.
-
-    ``coeffs`` are highest-degree first, finite, leading coefficient
-    nonzero. Strict stability holds iff every first-column entry of the
-    Routh array is positive, so the table stops at the first entry that is
-    not: a zero there (including a whole zero row, roots placed
-    symmetrically about the origin) already rules strict stability out,
-    and no epsilon substitute is needed.
-    The table is exact: one power of two turns the float coefficients into
-    integers, and a row is not divided by its pivot, a positive factor
-    that keeps the signs. No entry rounds, underflows or overflows, at any
-    scale of the roots.
-    """
-    c = [float(v) for v in coeffs]
-    if len(c) < 2:
-        raise ValueError("polynomial degree must be >= 1")
-    if not all(map(math.isfinite, c)):
-        raise ValueError("coefficients must be finite")
-    if c[0] == 0.0:
-        raise ValueError("leading coefficient must be nonzero")
-    return is_hurwitz_ints(_as_ints(c)[0])
 
 
 def is_hurwitz_ints(c: list[int]) -> bool:
@@ -307,63 +219,6 @@ def is_hurwitz_ints(c: list[int]) -> bool:
     return prev[0] > 0
 
 
-class StateSpaceModel(Record):
-    """Continuous-time LTI quadruple dx/dt = A x + B u, y = C x + D u,
-    with labelled state, input, and output coordinates.
-
-    Arrays are copied and frozen at construction; dimension consistency
-    and label lengths are enforced.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    state_labels: tuple[str, ...]
-    input_labels: tuple[str, ...]
-    output_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        import numpy as np
-        for name in ("A", "B", "C", "D"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 2:
-                raise DimensionMismatch(f"{name} must be a 2-D matrix")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            arr.setflags(write=False)
-            vars(self)[name] = arr
-        n, p, q = self.A.shape[0], self.B.shape[1], self.C.shape[0]
-        if self.A.shape != (n, n):
-            raise DimensionMismatch(f"A must be square, got {self.A.shape}")
-        if self.B.shape != (n, p):
-            raise DimensionMismatch(f"B must be {n}x{p}, got {self.B.shape}")
-        if self.C.shape != (q, n):
-            raise DimensionMismatch(f"C must be {q}x{n}, got {self.C.shape}")
-        if self.D.shape != (q, p):
-            raise DimensionMismatch(f"D must be {q}x{p}, got {self.D.shape}")
-        for name, count in (("state_labels", n), ("input_labels", p), ("output_labels", q)):
-            labels = tuple(str(s) for s in getattr(self, name))
-            if len(labels) != count:
-                raise DimensionMismatch(f"{name} must have {count} entries, got {len(labels)}")
-            vars(self)[name] = labels
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def q(self) -> int:
-        return self.C.shape[0]
-
-    def deriv(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """State derivative A x + B u."""
-        return self.A @ x + self.B @ u
-
-    def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Measured output C x + D u."""
-        return self.C @ x + self.D @ u
+def __getattr__(name):  # the numpy twins, in quadmodel.arrays
+    return _twin(__name__, name, "StateSpaceModel char_poly expm_nilpotent is_hurwitz "
+                                 "nilpotency_index rank")

@@ -17,15 +17,17 @@ torques about body x/y/z respectively.
 
 Both models are decoupled chains of integrators behind the rotor mixer,
 and CHAINS_6DOF / CHAINS_3DOF state that structure once: the builders here,
-the gain designs and the CLI pole parsing all read it. model_rows gives A
-and B as nested lists, without numpy, for the linear `quadmodel sim`.
+the gain designs and the CLI pole parsing all read it. model_rows and
+model_matrices give the matrices as nested lists, without numpy, for the
+CLI; build_3dof and build_6dof, which wrap them in a StateSpaceModel, live
+in quadmodel.arrays and resolve here lazily.
 """
 
 from __future__ import annotations
 
+from . import _twin
 from ._record import Record
-from .linalg import StateSpaceModel
-from .params import QuadParams, validate
+from .params import QuadParams
 from .rotor_forces import mixer_rows
 
 ROTOR_FORCE_LABELS = ("F1", "F2", "F3", "F4")
@@ -109,21 +111,14 @@ def model_rows(p: QuadParams, dof: int) -> tuple[list, list]:
     return A, B
 
 
-def _build(p: QuadParams, dof: int) -> StateSpaceModel:
-    validate(p)
+def model_matrices(p: QuadParams, dof: int) -> tuple[list, list, list, list]:
+    """A, B, C and D of the dof model as nested lists: model_rows, then C,
+    which reads the state of each output's label, and D = 0."""
     state_labels, input_labels, output_labels = LABELS[dof]
     C = [[float(s == y) for s in state_labels] for y in output_labels]
     D = [[0.0] * len(input_labels) for _ in output_labels]
-    return StateSpaceModel(*model_rows(p, dof), C, D, state_labels, input_labels, output_labels)
+    return (*model_rows(p, dof), C, D)
 
 
-def build_3dof(p: QuadParams) -> StateSpaceModel:
-    """Attitude-only model: three double-integrator chains driven by the
-    rotor thrusts through the mixer."""
-    return _build(p, 3)
-
-
-def build_6dof(p: QuadParams) -> StateSpaceModel:
-    """Full model: positions, velocities, attitude, and rates, with the
-    gravity-tilt coupling x_ddot = -g*theta and y_ddot = +g*phi."""
-    return _build(p, 6)
+def __getattr__(name):  # the numpy twins, in quadmodel.arrays
+    return _twin(__name__, name, "build_3dof build_6dof")

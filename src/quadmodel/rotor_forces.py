@@ -1,5 +1,7 @@
 """Rotor thrust algebra: the 4x4 mixer from rotor forces to net thrust and
 body torques, its closed-form inverse, and the scalar mix/demix pair.
+The mixer's float64 arrays, mixer and mixer_inverse, live in
+quadmodel.arrays and resolve here lazily.
 
 Conventions (body frame): rotors 1 and 3 sit on the x-axis and spin
 clockwise; rotors 2 and 4 sit on the y-axis and spin counter-clockwise.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from . import _twin
 from ._record import Record
 from .params import QuadParams
 
@@ -71,18 +74,6 @@ def mixer_inverse_rows(p: QuadParams) -> list[list[float]]:
     return [[s * k for s, k in zip(col, scales)] for col in zip(*_MIXER_SIGNS)]
 
 
-def mixer(p: QuadParams) -> np.ndarray:
-    """mixer_rows as a float64 array."""
-    import numpy as np
-    return np.array(mixer_rows(p))
-
-
-def mixer_inverse(p: QuadParams) -> np.ndarray:
-    """mixer_inverse_rows as a float64 array."""
-    import numpy as np
-    return np.array(mixer_inverse_rows(p))
-
-
 def mix(f: RotorForces, p: QuadParams) -> GeneralizedInput:
     """Map four rotor thrusts to (net upward force, roll, pitch, yaw torque):
     M F minus the hover offset (m g, 0, 0, 0).
@@ -124,3 +115,7 @@ def demix_values(u1: float, u2: float, u3: float, u4: float, p: QuadParams) -> t
 def is_physical(f: RotorForces) -> bool:
     """True iff no rotor is asked to push downward (all thrusts >= 0)."""
     return f.f1 >= 0.0 and f.f2 >= 0.0 and f.f3 >= 0.0 and f.f4 >= 0.0
+
+
+def __getattr__(name):  # the numpy twins, in quadmodel.arrays
+    return _twin(__name__, name, "mixer mixer_inverse")

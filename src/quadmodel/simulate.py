@@ -1,30 +1,31 @@
 """Trajectory generation for the linear models and the nonlinear reference
-plant.
+plant, on Python floats: the float core of every run.
 
-The linear models are propagated either exactly (their A matrices are
-nilpotent, so the zero-order-hold discretization is a finite polynomial in
-A -- no truncation) or by classical RK4. On these models RK4 with a
-constant held input reproduces the exact step to rounding, because the
-one-step RK4 map equals the exponential series truncated at degree 4 and
-A^4 = 0 (A^2 = 0 for the attitude model); the test suite leans on that
-equivalence as a cross-check.
+The linear models are propagated exactly: their A matrices are nilpotent,
+so the zero-order-hold discretization is a finite polynomial in A, with
+no truncation. The nonlinear plant is integrated by classical RK4. On the
+linear models RK4 with a constant held input reproduces the exact step to
+rounding, because the one-step RK4 map equals the exponential series
+truncated at degree 4 and A^4 = 0 (A^2 = 0 for the attitude model); the
+test suite leans on that equivalence as a cross-check.
 
-Inputs are zero-order held: the input function is sampled at the start of
-each step and held constant across it.
+Inputs are zero-order held: the input is sampled at the start of each
+step and held constant across it.
 
 A run that leaves the finite floats raises instead of returning. A
 diverging linear run completes its steps first, and one scan afterwards
 raises NonFiniteState at the first non-finite input or state row, in step
 order (NaN and inf survive + and *, so nothing is lost by waiting). The
-nonlinear plant hands the state to forces_fn, so it checks every step and
+nonlinear plant hands the state to its forces, so it checks every step and
 raises NonFiniteDerivative at the step that overflowed, an infinite angle
 included. The CLI maps both to exit code 4.
 
 feedback_rows (the linear feedback loop) and nonlinear_rows (the nonlinear
-plant under held forces) run on Python floats without numpy, into the CSV's
-blocks of CSV_BLOCK_ROWS rows: 8.7 KB blocks reuse the heap that compiling
-the package freed, where one 680 KB run buffer maps fresh pages. The
-functions on numpy arrays import numpy when first called.
+plant under held forces) run into the CSV's blocks of CSV_BLOCK_ROWS rows:
+8.7 KB blocks reuse the heap that compiling the package freed, where one
+680 KB run buffer maps fresh pages. The numpy twins (Trajectory, simulate,
+simulate_feedback, simulate_nonlinear, zoh_discretize, zoh_step, rk4_step
+and nonlinear_deriv) live in quadmodel.arrays and resolve here lazily.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ import math
 from array import array
 from itertools import chain, islice
 
+from . import _twin
 from ._record import Record
-from .linalg import StateSpaceModel, expm_rows, matmul, nonzeros
-from .models import DOF6_STATE_LABELS, ROTOR_FORCE_LABELS
-from .params import QuadParams, validate
-from .rotor_forces import RotorForces
+from .linalg import expm_rows, matmul, nonzeros
+from .params import QuadParams
 
 INTEGRATORS = ("exact_zoh", "rk4")
 PLANTS = ("linear_3dof", "linear_6dof", "nonlinear_6dof")
@@ -92,131 +92,6 @@ class SimConfig(Record):
         return _n_steps(self.t_final, self.dt)
 
 
-class Trajectory(Record):
-    """Uniformly sampled run: times (N,), states (N, n), inputs (N, p).
-
-    The input row i is the value held over [t_i, t_i + dt); the final row
-    is the input function sampled at the last time, for shape regularity.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-    state_labels: tuple[str, ...]
-    input_labels: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-
-def zoh_discretize(m: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact one-step transition pair (Phi, Gamma) for a held input:
-    x+ = Phi x + Gamma u, valid when A is nilpotent (linalg.expm_rows)."""
-    import numpy as np
-    phi, gamma = expm_rows(m.A.tolist(), m.B.tolist(), dt)
-    return np.array(phi), np.array(gamma).reshape(m.n, m.p)
-
-
-def zoh_step(m: StateSpaceModel, x, u, dt: float) -> np.ndarray:
-    """One exact zero-order-hold step of dx/dt = A x + B u."""
-    import numpy as np
-    phi, gamma = zoh_discretize(m, dt)
-    return phi @ np.asarray(x, dtype=float) + gamma @ np.asarray(u, dtype=float)
-
-
-def rk4_step(
-    deriv: Callable[[float, np.ndarray], np.ndarray], x, t: float, dt: float
-) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta update of dx/dt = deriv(t, x)."""
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = np.asarray(deriv(t, x), dtype=float)
-        k2 = np.asarray(deriv(t + 0.5 * dt, x + 0.5 * dt * k1), dtype=float)
-        k3 = np.asarray(deriv(t + 0.5 * dt, x + 0.5 * dt * k2), dtype=float)
-        k4 = np.asarray(deriv(t + dt, x + dt * k3), dtype=float)
-        out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteDerivative(
-            f"derivative produced non-finite values on the step at t={float(t):g}"
-        )
-    return out
-
-
-def simulate(
-    m: StateSpaceModel,
-    x0,
-    input_fn: Callable[[float, np.ndarray], np.ndarray],
-    cfg: SimConfig,
-) -> Trajectory:
-    """Propagate a linear model from x0 under input_fn(t, x).
-
-    input_fn may close over anything: a constant vector for open loop,
-    u = r - K x for state feedback, or a scripted maneuver. It is sampled
-    at each step start and held across the step. Under exact_zoh a run
-    that diverges keeps calling input_fn, with the non-finite x, up to the
-    last step, and NonFiniteState is raised after it.
-    """
-    import numpy as np
-    if cfg.plant == "nonlinear_6dof":
-        raise ValueError("cfg.plant is nonlinear_6dof; use simulate_nonlinear")
-    x = np.asarray(x0, dtype=float).reshape(m.n)
-    steps, n, p = cfg.n_steps, m.n, m.p
-    table = np.empty((steps + 1, 1 + n + p))  # rows t, x, u
-    times, states, inputs = table[:, 0], table[:, 1 : 1 + n], table[:, 1 + n :]
-    times[:] = np.arange(steps + 1) * cfg.dt
-    exact = cfg.integrator == "exact_zoh"
-    if exact:
-        phi, gamma = zoh_discretize(m, cfg.dt)
-
-    states[0] = x
-    # input_fn may see a non-finite x once the run has diverged; the scan
-    # after the loop reports the first bad row, so the loop checks nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for i in range(steps):
-                t = times[i]
-                u = np.asarray(input_fn(t, x), dtype=float).reshape(p)
-                inputs[i] = u
-                if exact:
-                    x = phi @ x + gamma @ u
-                else:
-                    x = rk4_step(lambda tt, xx: m.A @ xx + m.B @ u, x, t, cfg.dt)
-                states[i + 1] = x
-        except NonFiniteDerivative:
-            # rk4_step refuses a non-finite step; a bad input comes first
-            _raise_first_non_finite(table[: i + 1].tolist(), n, table.shape[1])
-            raise
-    inputs[steps] = np.asarray(input_fn(times[steps], x), dtype=float).reshape(p)
-    if not np.isfinite(table).all():
-        _raise_first_non_finite(table.tolist(), n, table.shape[1])
-    return Trajectory(times, states, inputs, m.state_labels, m.input_labels)
-
-
-def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajectory:
-    """Propagate a linear model from x0 under the held input u = r - K x:
-    feedback_rows' blocks joined once, as a Trajectory of views (exact ZOH only).
-
-    At K = 0 the times and inputs equal those of simulate with input_fn
-    returning r, bit for bit; the states agree within 1e-12 of each
-    column's max |value|, and with feedback within 1e-9 of max|x0| over
-    5 s runs. A diverging run raises NonFiniteState as simulate does.
-    """
-    import numpy as np
-    if cfg.plant == "nonlinear_6dof" or cfg.integrator != "exact_zoh":
-        raise ValueError("simulate_feedback needs a linear plant and integrator='exact_zoh'")
-    K = np.asarray(K, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if K.shape != (m.p, m.n) or r.shape != (m.p,):
-        raise ValueError(
-            f"need K of shape {(m.p, m.n)} and r of shape {(m.p,)}, got {K.shape} and {r.shape}"
-        )
-    x = np.asarray(x0, dtype=float).reshape(m.n)
-    blocks = feedback_rows(m.A.tolist(), m.B.tolist(), K.tolist(), r.tolist(), x.tolist(), cfg)
-    t, x, u = np.split(np.concatenate(blocks).reshape(-1, 1 + m.n + m.p), [1, 1 + m.n], axis=1)
-    return Trajectory(t[:, 0], x, u, m.state_labels, m.input_labels)
-
-
 def feedback_rows(a, b, K, r, x0, cfg: SimConfig) -> list[array]:
     """The run of simulate_feedback on nested lists, as array('d') blocks of
     CSV_BLOCK_ROWS rows t, x, u, only the last one partial. Each step is
@@ -232,7 +107,7 @@ def feedback_rows(a, b, K, r, x0, cfg: SimConfig) -> list[array]:
         blocks.append(block := array("d"))
         for i in range(lo, min(lo + CSV_BLOCK_ROWS, n)):
             row, x = step(i * dt, *x)
-            block.extend(row)
+            block.fromlist(row)
     _raise_first_non_finite(blocks, len(a), 1 + len(a) + len(r))
     return blocks
 
@@ -251,7 +126,7 @@ def _held_offset(pairs, r) -> float:
 
 
 def _step_function(f_rows, c, k_rows, r):
-    """The function (t, x) -> ((t, x, r + k_rows x), c + f_rows x), written
+    """The function (t, x) -> ([t, x, r + k_rows x], c + f_rows x), written
     out as one expression that sums each row left to right from its offset
     over its nonzeros: a step is then one call, not a loop per row. Only
     indices go into the source; the coefficients are bound as names."""
@@ -262,7 +137,7 @@ def _step_function(f_rows, c, k_rows, r):
         terms.append("".join([f"c{i}"] + [f" + f{i}_{j} * x{j}" for j, _ in pairs]))
     x = [f"x{j}" for j in range(len(f_rows))]
     inputs, states = terms[: len(r)], terms[len(r) :]
-    source = f"lambda t, {', '.join(x)}: ((t, {', '.join(x + inputs)}), ({', '.join(states)},))"
+    source = f"lambda t, {', '.join(x)}: ([t, {', '.join(x + inputs)}], ({', '.join(states)},))"
     return eval(source, names)
 
 
@@ -280,67 +155,13 @@ def _raise_first_non_finite(blocks, n: int, width: int) -> None:
             raise NonFiniteState(f"{'state' if col <= n else 'input'} became non-finite at t={t:g}")
 
 
-def nonlinear_deriv(p: QuadParams, x, f: RotorForces) -> np.ndarray:
-    """Reference-plant state derivative in the 6DOF state ordering.
-
-    Keeps the trigonometric thrust decomposition but, like the linear
-    models, has no drag and no gyroscopic coupling: it exists to measure
-    how fast the small-angle linearization degrades, nothing more. Under
-    sin a -> a, cos a -> 1, T -> m g it reduces exactly to the linear
-    6DOF model.
-    """
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    phi, theta = x[6], x[7]
-    thrust = f.f1 + f.f2 + f.f3 + f.f4
-    return np.array(
-        [
-            x[3],
-            x[4],
-            x[5],
-            -(thrust / p.m) * math.sin(theta),
-            (thrust / p.m) * math.sin(phi),
-            (thrust * math.cos(phi) * math.cos(theta)) / p.m - p.g,
-            x[9],
-            x[10],
-            x[11],
-            p.d * (f.f2 - f.f4) / p.Ix,
-            p.d * (f.f1 - f.f3) / p.Iy,
-            p.c * (-f.f1 + f.f2 - f.f3 + f.f4) / p.Iz,
-        ]
-    )
-
-
-def simulate_nonlinear(
-    p: QuadParams,
-    x0,
-    forces_fn: Callable[[float, np.ndarray], RotorForces],
-    cfg: SimConfig,
-) -> Trajectory:
-    """Propagate the nonlinear reference plant under forces_fn(t, x).
-
-    Always integrates with RK4 (there is no exact propagator here);
-    forces are sampled at each step start and held, mirroring the linear
-    simulator so the two runs are comparable sample by sample. The run is
-    nonlinear_rows' in one block, with x handed to forces_fn as an array.
-    """
-    import numpy as np
-    validate(p)
-    if cfg.plant != "nonlinear_6dof":
-        raise ValueError("simulate_nonlinear requires cfg.plant = 'nonlinear_6dof'")
-    x0 = np.asarray(x0, dtype=float).reshape(12).tolist()
-    [run] = nonlinear_rows(p, lambda t, x: forces_fn(t, np.array(x)).as_tuple(), x0, cfg,
-                           cfg.n_steps + 1)
-    t, x, f = np.split(np.frombuffer(run).reshape(-1, 17), [1, 13], axis=1)
-    return Trajectory(t[:, 0], x, f, DOF6_STATE_LABELS, ROTOR_FORCE_LABELS)
-
-
 def nonlinear_rows(p: QuadParams, forces, x0, cfg: SimConfig,
                    rows: int = CSV_BLOCK_ROWS) -> list[array]:
     """simulate_nonlinear's run as feedback_rows returns its own: array('d')
     blocks of `rows` rows t, x, F. forces(t, x), x a tuple of floats, gives
-    the forces held from t; each step raises NonFiniteDerivative if it left
-    the finite floats, and the last forces, which drive no step, are checked."""
+    the four forces, as floats, held from t; each step raises
+    NonFiniteDerivative if it left the finite floats, and the last forces,
+    which drive no step, are checked."""
     blocks, x, dt, n = [], tuple(x0), cfg.dt, cfg.n_steps + 1
     for lo in range(0, n, rows):
         blocks.append(block := array("d"))
@@ -369,14 +190,14 @@ def _rk4_held_forces(p: QuadParams, x, forces, dt: float) -> tuple[float, ...]:
     """rk4_step of nonlinear_deriv under held forces, on Python floats.
 
     Every entry goes through the same operations in the same order as
-    rk4_step(lambda t, xx: nonlinear_deriv(p, xx, f), x, t, dt), so the
-    result is identical to the bit. The held forces give the thrust and the
+    arrays.rk4_step(lambda t, xx: arrays.nonlinear_deriv(p, xx, f), x, t,
+    dt), so the result is identical to the bit. The held forces give the thrust and the
     three angular accelerations once per step, and the stage states are
     formed only where the derivative reads them: the yaw angle and the
     positions never feed back.
     """
     px, py, pz, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = x
-    f1, f2, f3, f4 = map(float, forces)
+    f1, f2, f3, f4 = forces
     thrust = f1 + f2 + f3 + f4
     tm = thrust / p.m
     m, g, sin, cos = p.m, p.g, math.sin, math.cos
@@ -426,3 +247,8 @@ def _rk4_held_forces(p: QuadParams, x, forces, dt: float) -> tuple[float, ...]:
         q_rate + c * (aq + 2.0 * aq + 2.0 * aq + aq),
         r_rate + c * (ar + 2.0 * ar + 2.0 * ar + ar),
     )
+
+
+def __getattr__(name):  # the numpy twins, in quadmodel.arrays
+    return _twin(__name__, name, "Trajectory nonlinear_deriv rk4_step simulate simulate_feedback "
+                                 "simulate_nonlinear zoh_discretize zoh_step")

@@ -21,7 +21,7 @@ equilibrium input.
 Every design checks the closed loop A - B K it produced, chain block by chain
 block (_chains_stable): the entries outside the blocks must be exactly 0 on
 both models, and each block of at most four states must be Hurwitz, exactly,
-on the integers of one shift of the whole loop. check_sampled_loop applies
+on the integers of one shift of the whole loop. check_sampled_rows applies
 the same rule to the sampled loop Phi - Gamma K of a run on either plant: RK4
 with held forces is exact on the nilpotent A, so Phi - Gamma K is the
 nonlinear step's Jacobian at hover. A request whose gains are not normal
@@ -31,7 +31,10 @@ PolePlacementError, not reported as a defect; a sampled loop that leaves
 float64 is unstable at its dt, and a dt that is not finite and > 0 is a
 ValueError.
 The gains and the checks run on Python floats and ints without numpy
-(design_rows, check_sampled_rows); the functions on numpy arrays wrap them.
+(design_rows, check_sampled_rows). Their numpy twins (GainMatrix,
+design_6dof_gains, design_3dof_gains, check_sampled_loop,
+place_integrator_chain and poles_to_monic) live in quadmodel.arrays and
+resolve here lazily.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ from __future__ import annotations
 import math
 import sys
 
+from . import _twin
 from ._record import Record
-from .linalg import (StateSpaceModel, _as_ints, _poly_ints, expm_rows, is_hurwitz_ints, matmul,
+from .linalg import (_as_ints, _poly_ints, expm_rows, is_hurwitz_ints, matmul,
                      nonzeros, row_times)
-from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, LABELS, model_rows
+from .models import CHAINS, CHAINS_3DOF, CHAINS_6DOF, model_rows
 from .params import QuadParams, validate
 from .rotor_forces import mixer_inverse_rows
 
@@ -122,35 +126,6 @@ class PoleSpec(Record):
         return cls(**{ch.name: (pole,) * len(ch.states) for ch in CHAINS_3DOF})
 
 
-class GainMatrix(Record):
-    """Feedback gains for u = r - K x, with the target model's labels."""
-
-    K: np.ndarray
-    state_labels: tuple[str, ...]
-    input_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        import numpy as np
-        k = np.array(self.K, dtype=float)
-        if k.shape != (len(self.input_labels), len(self.state_labels)):
-            raise PolePlacementError(
-                f"gain shape {k.shape} does not match labels "
-                f"({len(self.input_labels)} inputs, {len(self.state_labels)} states)"
-            )
-        k.setflags(write=False)
-        vars(self).update(K=k, state_labels=tuple(self.state_labels),
-                          input_labels=tuple(self.input_labels))
-
-    def feedback_input(self, x, r=None) -> np.ndarray:
-        """u = r - K x (r defaults to zero, the hover equilibrium in the
-        deviation coordinates both designs use)."""
-        import numpy as np
-        u = -self.K @ np.asarray(x, dtype=float)
-        if r is not None:
-            u = np.asarray(r, dtype=float) + u
-        return u
-
-
 def _monic(poles) -> list[float]:
     """Expand prod (s - p_i) into real monic coefficients, grouping the
     real and imaginary products as np.convolve's dot sums them, to the bit.
@@ -168,64 +143,22 @@ def _monic(poles) -> list[float]:
     return re
 
 
-def poles_to_monic(poles) -> np.ndarray:
-    """_monic as a float64 array."""
-    import numpy as np
-    return np.array(_monic(poles))
-
-
-def place_integrator_chain(chain_order: int, input_gain: float, poles) -> np.ndarray:
-    """Gain row stabilizing a pure integrator chain, as a float64 array.
-
-    chain_order   number of integrators (the chain's state dimension)
-    input_gain    scalar b in w_k' = b u; must be nonzero
-    poles         chain_order desired poles, strictly left half-plane
-
-    Returns gains (k_1 ... k_k) on the chain states ordered most-integrated
-    first, so that u = -sum k_j w_j gives the target polynomial exactly.
-    """
-    import numpy as np
-    poles = _validate_pole_set("chain", tuple(poles))
-    if len(poles) != chain_order:
-        raise PoleCountMismatch(
-            f"chain of order {chain_order} needs exactly {chain_order} poles, "
-            f"got {len(poles)}"
-        )
-    return np.array(_chain_row(input_gain, poles))
-
-
 def _chain_row(input_gain: float, poles: tuple[complex, ...]) -> list[float]:
-    """place_integrator_chain for poles already validated and counted, as
-    a PoleSpec's are."""
+    """The gains (k_1 ... k_k) on a chain of k integrators with input gain
+    b, states most-integrated first, that make u = -sum k_j w_j give the
+    monic polynomial of the poles exactly, for poles already validated and
+    counted, as a PoleSpec's are."""
     if input_gain == 0.0 or not math.isfinite(input_gain):
         raise ZeroInputGain(f"input gain must be nonzero and finite, got {input_gain!r}")
     return [a / input_gain for a in reversed(_monic(poles)[1:])]  # [1, a1, ..., ak]
 
 
-def design_6dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
-    """4x12 feedback gain for the 6DOF model, one chain per input row.
-
-    The pitch->x chain carries the -g tilt coupling, so its theta entries
-    flip sign relative to the roll->y chain; the per-chain check of
-    A - B K at the end would catch any regression there.
-    """
-    return GainMatrix(design_rows(p, spec, 6), *LABELS[6][:2])
-
-
-def design_3dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:
-    """4x6 feedback gain for the 3DOF model, in rotor-force input space.
-
-    Each axis is placed as a 2nd-order chain in torque space; the torque
-    rows are then mapped to the four rotor forces by the torque columns of
-    the inverse mixer, with zero net-thrust offset (the attitude states
-    never see total thrust, so the offset is free and zero keeps gains
-    small).
-    """
-    return GainMatrix(design_rows(p, spec, 3), *LABELS[3][:2])
-
-
 def design_rows(p: QuadParams, spec: PoleSpec, dof: int) -> list[list[float]]:
-    """The checked K of design_6dof_gains or design_3dof_gains, as lists."""
+    """The checked 4 x n feedback gain K of the dof model, as nested lists:
+    one chain per input row for 6DOF; for 3DOF each axis placed in torque
+    space, then mapped to the rotor forces by the torque columns of the
+    inverse mixer, with zero net-thrust offset (the attitude states never
+    see total thrust, so the offset is free and zero keeps gains small)."""
     validate(p)
     chains = CHAINS[dof]
     sizes = {ch.name: len(ch.states) for ch in chains}  # a chain the model lacks gets none
@@ -264,16 +197,11 @@ def _check_closed_loop(a, b, K) -> None:
         )
 
 
-def check_sampled_loop(model: StateSpaceModel, K, dt: float) -> None:
-    """Raise UnstableSampledLoop unless the exact-ZOH closed loop
-    x+ = (Phi - Gamma K) x of the model at step dt is stable, chain block
-    by chain block under the same off-block rule as the designs."""
-    import numpy as np
-    check_sampled_rows(model.A.tolist(), model.B.tolist(), np.asarray(K, dtype=float).tolist(), dt)
-
-
 def check_sampled_rows(a, b, K, dt: float) -> None:
-    """check_sampled_loop for A, B and K given as nested lists."""
+    """Raise UnstableSampledLoop unless the exact-ZOH closed loop
+    x+ = (Phi - Gamma K) x at step dt of the model with A and B, for K
+    given as nested lists, is stable, chain block by chain block under the
+    same off-block rule as the designs."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"the sampled loop needs a finite step dt > 0, got {dt!r}")
     phi, gamma = expm_rows(a, b, dt)
@@ -348,3 +276,8 @@ def _chains_stable(a, b, K, sampled: bool) -> bool:
         if not is_hurwitz_ints(poly):
             return False
     return True
+
+
+def __getattr__(name):  # the numpy twins, in quadmodel.arrays
+    return _twin(__name__, name, "GainMatrix check_sampled_loop design_3dof_gains "
+                                 "design_6dof_gains place_integrator_chain poles_to_monic")

@@ -51,6 +51,14 @@ def test_model_json_matches_golden_bytes(capsys, params_file, dof, golden):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("dof,golden", [(3, "model_3dof.txt"), (6, "model_6dof.txt")])
+def test_model_pretty_matches_golden_bytes(capsys, params_file, dof, golden):
+    code, out, err = run(capsys, "model", "--dof", str(dof), "--params", params_file,
+                         "--format", "pretty")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_model_json_is_deterministic(capsys, params_file):
     _, first, _ = run(capsys, "model", "--dof", "6", "--params", params_file)
     _, second, _ = run(capsys, "model", "--dof", "6", "--params", params_file)

@@ -1,4 +1,5 @@
-"""The lazy package namespace, and the linear `quadmodel sim` without numpy."""
+"""The lazy package namespace, and CLI commands that import neither numpy
+nor the numpy face, quadmodel.arrays."""
 
 import importlib
 import os
@@ -11,6 +12,8 @@ import pytest
 import quadmodel
 
 ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 # the names an eager quadmodel/__init__ bound, by defining module
 EAGER = {
@@ -59,18 +62,17 @@ def test_unknown_names_raise_and_submodules_import():
     assert cli.main is sys.modules["quadmodel.cli"].main
 
 
-# the modules the linear sim and the package import need not load
+# the modules the CLI commands and the package import need not load
 HEAVY = ("numpy", "dataclasses", "inspect", "typing")
+FACE = "quadmodel.arrays"  # the numpy face: library callers only
 
 
 def _imported_modules(*argv):
     """The modules a fresh interpreter imports running argv, by -X importtime.
     -S leaves out site, whose .pth files may import typing (certifi's does)
     before quadmodel could, and site-packages, so numpy cannot load at all."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *argv],
-                          capture_output=True, text=True, env=env, cwd=ROOT, check=False)
+                          capture_output=True, text=True, env=ENV, cwd=ROOT, check=False)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")]
@@ -88,6 +90,18 @@ def test_linear_sim_imports_no_numpy(tmp_path, dof, mode):
         "--mode", mode, "--x0", "phi=0.1", "--t-final", "0.05", "--out", str(tmp_path / "o.csv"))
     assert "quadmodel.stabilize" in imported
     assert _heavy(imported) == []
+    assert FACE not in imported
+    assert (tmp_path / "o.csv").read_text().startswith("t,")
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_nonlinear_sim_imports_no_numpy(tmp_path, mode):
+    imported = _imported_modules(
+        "-m", "quadmodel", "sim", "--dof", "6", "--plant", "nonlinear", "--params",
+        "params.example.json", "--mode", mode, "--x0", "theta=0.05", "--t-final", "0.05",
+        "--out", str(tmp_path / "o.csv"))
+    assert _heavy(imported) == []
+    assert FACE not in imported
     assert (tmp_path / "o.csv").read_text().startswith("t,")
 
 
@@ -95,3 +109,34 @@ def test_importing_the_package_imports_no_numpy():
     imported = _imported_modules("-c", "import quadmodel")
     assert "quadmodel" in imported
     assert _heavy(imported) == []
+    assert FACE not in imported
+
+
+@pytest.mark.parametrize("argv",["model --dof 6", "model --dof 3 --format pretty",
+                                  "analyze --dof 6", "analyze --dof 3"])
+def test_model_and_analyze_import_no_numpy(argv):
+    imported = _imported_modules("-m", "quadmodel", *argv.split(), "--params",
+                                 "params.example.json")
+    assert "quadmodel.models" in imported
+    assert _heavy(imported) == []
+    assert FACE not in imported
+
+
+@pytest.mark.parametrize("first", ["import quadmodel.cli",
+                                   "importlib.import_module('quadmodel.simulate')"])
+def test_simulate_stays_the_function_after_its_module_loads(first):
+    """The import system binds a submodule it loads on the package; the
+    module simulate must not hide the function of the same name."""
+    code = f"""
+import importlib, sys, quadmodel
+{first}
+assert {FACE!r} not in sys.modules
+module = sys.modules["quadmodel.simulate"]
+assert importlib.import_module("quadmodel.simulate") is module
+assert quadmodel.simulate is module.simulate is sys.modules[{FACE!r}].simulate
+from quadmodel import simulate
+assert simulate is quadmodel.simulate and callable(simulate)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=ENV, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,4 +1,5 @@
 import math
+import sys
 from array import array
 from types import SimpleNamespace
 
@@ -36,6 +37,7 @@ from quadmodel import (
 )
 from quadmodel.linalg import expm_rows, matmul
 from quadmodel.models import model_rows
+from quadmodel.rotor_forces import demix_values
 from quadmodel.simulate import CSV_BLOCK_ROWS, feedback_rows, nonlinear_rows
 from quadmodel.stabilize import design_rows
 from util import assert_close, quad_params
@@ -644,3 +646,85 @@ def test_nonlinear_rows_check_the_last_forces_which_drive_no_step(params):
 
     with pytest.raises(NonFiniteState, match=r"^input became non-finite at t=0\.02$"):
         nonlinear_rows(params, forces, [0.0] * 12, cfg)
+
+
+class _Dual:
+    """A forward-mode dual number: a value and its derivative along one
+    direction, through the arithmetic and trigonometry of one RK4 step."""
+
+    def __init__(self, val, der=0.0):
+        self.val, self.der = val, der
+
+    @staticmethod
+    def _of(v):
+        return v if isinstance(v, _Dual) else _Dual(v)
+
+    def __add__(self, o):
+        o = self._of(o)
+        return _Dual(self.val + o.val, self.der + o.der)
+
+    def __sub__(self, o):
+        o = self._of(o)
+        return _Dual(self.val - o.val, self.der - o.der)
+
+    def __mul__(self, o):
+        o = self._of(o)
+        return _Dual(self.val * o.val, self.der * o.val + self.val * o.der)
+
+    def __truediv__(self, o):
+        o = self._of(o)
+        q = self.val / o.val
+        return _Dual(q, (self.der - q * o.der) / o.val)
+
+    def __radd__(self, o):
+        return self._of(o) + self
+
+    def __rsub__(self, o):
+        return self._of(o) - self
+
+    def __rmul__(self, o):
+        return self._of(o) * self
+
+    def __rtruediv__(self, o):
+        return self._of(o) / self
+
+    def __neg__(self):
+        return _Dual(-self.val, -self.der)
+
+
+_DUAL_MATH = SimpleNamespace(sin=lambda a: _Dual(math.sin(a.val), math.cos(a.val) * a.der),
+                             cos=lambda a: _Dual(math.cos(a.val), -math.sin(a.val) * a.der))
+
+
+def _assert_held_forces_step_jacobian_at_hover(p, K, dt, monkeypatch):
+    """Column j of the Jacobian of x -> _rk4_held_forces(p, x, demix(-K x), dt)
+    at hover (x = 0), by dual numbers seeded on x_j, against Phi - Gamma K:
+    RK4 with held forces is exact on the nilpotent A, so the nonlinear step's
+    Jacobian there is the sampled loop the gate checks. Each entry agrees
+    within 1e-12 of the magnitude of its terms, |Phi| + |Gamma| |K|."""
+    module = sys.modules["quadmodel.simulate"]
+    monkeypatch.setattr(module, "math", _DUAL_MATH)
+    a, b = model_rows(p, 6)
+    phi, gamma = expm_rows(a, b, dt)
+    loop = [[f - g for f, g in zip(fr, gr)] for fr, gr in zip(phi, matmul(gamma, K))]
+    abs_rows = [[abs(v) for v in row] for row in gamma]
+    terms = matmul(abs_rows, [[abs(v) for v in row] for row in K])
+    for j in range(12):
+        x = [_Dual(0.0, float(i == j)) for i in range(12)]
+        u = [sum((-k * xi for k, xi in zip(row, x)), _Dual(0.0)) for row in K]
+        step = module._rk4_held_forces(p, x, demix_values(*u, p), dt)
+        for i, out in enumerate(step):
+            scale = abs(phi[i][j]) + terms[i][j]
+            assert abs(out.der - loop[i][j]) <= 1e-12 * scale, (i, j, out.der, loop[i][j])
+
+
+# one draw of util.wide_params, rounded to three digits
+WIDE_DRAW = QuadParams(m=1.84e26, d=1.56e-07, c=7.18e-179, Ix=4e6, Iy=3.56e-53, Iz=6.71e-255,
+                       g=1.85e47)
+
+
+@pytest.mark.parametrize("wide", [None, WIDE_DRAW], ids=["desk", "wide"])
+def test_held_forces_step_jacobian_at_hover_is_the_sampled_loop(params, wide, monkeypatch):
+    p = wide or params
+    K = design_rows(p, PoleSpec.uniform_6dof(-2.0), 6)
+    _assert_held_forces_step_jacobian_at_hover(p, K, 1e-3, monkeypatch)
