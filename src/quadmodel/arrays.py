@@ -7,7 +7,10 @@ that documents it (linalg.StateSpaceModel, simulate.simulate,
 stabilize.design_6dof_gains, ...) or through the package; both resolve it
 lazily, so the first such lookup imports numpy. Each function wraps the
 core function that does its job on lists, and agrees with it to the bit
-unless its docstring says otherwise.
+unless its docstring says otherwise; the three simulators hold no loop of
+their own. Three functions compute on their own: rank, which stays
+numerical, with a tolerance, and rk4_step and nonlinear_deriv, the
+reference that the nonlinear plant's float step is pinned against to the bit.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .linalg import (DimensionMismatch, NotSquare, _as_ints, _nilpotency_ints, c
 from .models import DOF6_STATE_LABELS, LABELS, ROTOR_FORCE_LABELS, model_matrices
 from .params import QuadParams, validate
 from .rotor_forces import RotorForces, mixer_inverse_rows, mixer_rows
-from .simulate import (CSV_BLOCK_ROWS, NonFiniteDerivative, SimConfig, _raise_first_non_finite,
-                       feedback_rows, nonlinear_rows)
+from .simulate import (CSV_BLOCK_ROWS, NonFiniteDerivative, SimConfig, feedback_rows, linear_rows,
+                       nonlinear_rows)
 from .stabilize import (PoleCountMismatch, PolePlacementError, PoleSpec, _chain_row, _monic,
                         _validate_pole_set, check_sampled_rows, design_rows)
 
@@ -254,65 +257,50 @@ def rk4_step(deriv, x, t: float, dt: float) -> np.ndarray:
     return out
 
 
+def _linear_only(cfg: SimConfig, caller: str) -> None:
+    if cfg.plant == "nonlinear_6dof" or cfg.integrator != "exact_zoh":
+        raise ValueError(f"{caller} needs a linear plant and integrator='exact_zoh'")
+
+
+def _trajectory(run, state_labels, input_labels) -> Trajectory:
+    """A run's one block of rows t, x, u as a Trajectory of views of it."""
+    width = 1 + len(state_labels)
+    t, x, u = np.split(np.frombuffer(run).reshape(-1, width + len(input_labels)), [1, width], 1)
+    return Trajectory(t[:, 0], x, u, state_labels, input_labels)
+
+
 def simulate(m: StateSpaceModel, x0, input_fn, cfg: SimConfig) -> Trajectory:
-    """Propagate a linear model from x0 under input_fn(t, x).
+    """Propagate a linear model from x0 under input_fn(t, x), by exact ZOH.
 
     input_fn may close over anything: a constant vector for open loop,
     u = r - K x for state feedback, or a scripted maneuver. It is sampled
-    at each step start and held across the step. Under exact_zoh each step
-    is written into its row of the run's table in place, and the x that
-    input_fn receives is a view of that recorded row, which it must not
-    write to. A run that diverges keeps calling input_fn, with the
-    non-finite x, up to the last step, and NonFiniteState is raised after
-    it.
+    at each step start and held across the step, and gets a fresh array x
+    each time. The run is linear_rows' in one block. A run that diverges
+    keeps calling input_fn, with the non-finite x, up to the last step, and
+    NonFiniteState is raised after it.
     """
-    if cfg.plant == "nonlinear_6dof":
-        raise ValueError("cfg.plant is nonlinear_6dof; use simulate_nonlinear")
-    steps, n, p = cfg.n_steps, m.n, m.p
-    table = np.empty((steps + 1, 1 + n + p))  # rows t, x, u
-    times, states, inputs = table[:, 0], table[:, 1 : 1 + n], table[:, 1 + n :]
-    times[:] = np.arange(steps + 1) * cfg.dt
-    states[0] = np.asarray(x0, dtype=float).reshape(n)
-    x = states[0]
-    exact = cfg.integrator == "exact_zoh"
-    if exact:
-        phi, gamma = zoh_discretize(m, cfg.dt)
+    _linear_only(cfg, "simulate")
+    x0 = np.asarray(x0, dtype=float).reshape(m.n).tolist()
 
-    # input_fn may see a non-finite x once the run has diverged; the scan
-    # after the loop reports the first bad row, so the loop checks nothing
+    def inputs(t, x):
+        return np.asarray(input_fn(t, np.array(x)), dtype=float).reshape(m.p).tolist()
+
+    # input_fn may see a non-finite x once the run has diverged
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for i in range(steps):
-                t = times[i]
-                u = np.asarray(input_fn(t, x), dtype=float).reshape(p)
-                inputs[i] = u
-                if exact:
-                    x = np.matmul(phi, x, out=states[i + 1])
-                    np.add(x, gamma @ u, out=x)
-                else:
-                    x = rk4_step(lambda tt, xx: m.A @ xx + m.B @ u, x, t, cfg.dt)
-                    states[i + 1] = x
-        except NonFiniteDerivative:
-            # rk4_step refuses a non-finite step; a bad input comes first
-            _raise_first_non_finite(table[: i + 1].tolist(), n, table.shape[1])
-            raise
-    inputs[steps] = np.asarray(input_fn(times[steps], x), dtype=float).reshape(p)
-    if not np.isfinite(table).all():
-        _raise_first_non_finite(table.tolist(), n, table.shape[1])
-    return Trajectory(times, states, inputs, m.state_labels, m.input_labels)
+        [run] = linear_rows(m.A.tolist(), m.B.tolist(), inputs, x0, cfg, cfg.n_steps + 1)
+    return _trajectory(run, m.state_labels, m.input_labels)
 
 
 def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajectory:
     """Propagate a linear model from x0 under the held input u = r - K x:
-    feedback_rows' blocks joined once, as a Trajectory of views (exact ZOH only).
+    feedback_rows' run in one block, as a Trajectory of views (exact ZOH only).
 
     At K = 0 the times and inputs equal those of simulate with input_fn
     returning r, bit for bit; the states agree within 1e-12 of each
     column's max |value|, and with feedback within 1e-9 of max|x0| over
     5 s runs. A diverging run raises NonFiniteState as simulate does.
     """
-    if cfg.plant == "nonlinear_6dof" or cfg.integrator != "exact_zoh":
-        raise ValueError("simulate_feedback needs a linear plant and integrator='exact_zoh'")
+    _linear_only(cfg, "simulate_feedback")
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
     if K.shape != (m.p, m.n) or r.shape != (m.p,):
@@ -320,9 +308,9 @@ def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajector
             f"need K of shape {(m.p, m.n)} and r of shape {(m.p,)}, got {K.shape} and {r.shape}"
         )
     x = np.asarray(x0, dtype=float).reshape(m.n)
-    blocks = feedback_rows(m.A.tolist(), m.B.tolist(), K.tolist(), r.tolist(), x.tolist(), cfg)
-    t, x, u = np.split(np.concatenate(blocks).reshape(-1, 1 + m.n + m.p), [1, 1 + m.n], axis=1)
-    return Trajectory(t[:, 0], x, u, m.state_labels, m.input_labels)
+    [run] = feedback_rows(m.A.tolist(), m.B.tolist(), K.tolist(), r.tolist(), x.tolist(), cfg,
+                          cfg.n_steps + 1)
+    return _trajectory(run, m.state_labels, m.input_labels)
 
 
 def nonlinear_deriv(p: QuadParams, x, f: RotorForces) -> np.ndarray:
@@ -369,8 +357,7 @@ def simulate_nonlinear(p: QuadParams, x0, forces_fn, cfg: SimConfig) -> Trajecto
     x0 = np.asarray(x0, dtype=float).reshape(12).tolist()
     [run] = nonlinear_rows(p, lambda t, x: tuple(map(float, forces_fn(t, np.array(x)).as_tuple())),
                            x0, cfg, cfg.n_steps + 1)
-    t, x, f = np.split(np.frombuffer(run).reshape(-1, 17), [1, 13], axis=1)
-    return Trajectory(t[:, 0], x, f, DOF6_STATE_LABELS, ROTOR_FORCE_LABELS)
+    return _trajectory(run, DOF6_STATE_LABELS, ROTOR_FORCE_LABELS)
 
 
 # ---------------------------------------------------------------- stabilize

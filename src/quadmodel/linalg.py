@@ -34,8 +34,8 @@ class NotSquare(ValueError):
 
 
 class NotNilpotent(ValueError):
-    """Matrix has no vanishing power A^k with k <= n; caller must fall back
-    to a generic integrator (RK4)."""
+    """Matrix has no vanishing power A^k with k <= n, so the exact
+    zero-order-hold series does not terminate."""
 
 
 def _nilpotency_ints(rows) -> int | None:
@@ -94,7 +94,7 @@ def expm_rows(a, b, t: float) -> tuple[list, list]:
             for c, v in row.items():
                 p[c] += v
         else:
-            raise NotNilpotent(f"no power A^j with j <= {n} vanishes; use integrator='rk4'")
+            raise NotNilpotent(f"no power A^j with j <= {n} vanishes, so exact ZOH does not apply")
     return phi, gamma
 
 

@@ -3,14 +3,14 @@ plant, on Python floats: the float core of every run.
 
 The linear models are propagated exactly: their A matrices are nilpotent,
 so the zero-order-hold discretization is a finite polynomial in A, with
-no truncation. The nonlinear plant is integrated by classical RK4. On the
-linear models RK4 with a constant held input reproduces the exact step to
-rounding, because the one-step RK4 map equals the exponential series
-truncated at degree 4 and A^4 = 0 (A^2 = 0 for the attitude model); the
-test suite leans on that equivalence as a cross-check.
+no truncation. The nonlinear plant is integrated by classical RK4.
 
-Inputs are zero-order held: the input is sampled at the start of each
-step and held constant across it.
+Every run goes through one loop, held_rows, which samples the input at the
+start of each step and holds it across the step. feedback_rows (u = r - K
+x), linear_rows (any input function) and nonlinear_rows (the nonlinear
+plant under held forces) give it their step and input, and get the CSV's
+blocks of CSV_BLOCK_ROWS rows: 8.7 KB blocks reuse the heap that compiling
+the package freed, where one 680 KB run buffer maps fresh pages.
 
 A run that leaves the finite floats raises instead of returning. A
 diverging linear run completes its steps first, and one scan afterwards
@@ -20,12 +20,10 @@ nonlinear plant hands the state to its forces, so it checks every step and
 raises NonFiniteDerivative at the step that overflowed, an infinite angle
 included. The CLI maps both to exit code 4.
 
-feedback_rows (the linear feedback loop) and nonlinear_rows (the nonlinear
-plant under held forces) run into the CSV's blocks of CSV_BLOCK_ROWS rows:
-8.7 KB blocks reuse the heap that compiling the package freed, where one
-680 KB run buffer maps fresh pages. The numpy twins (Trajectory, simulate,
-simulate_feedback, simulate_nonlinear, zoh_discretize, zoh_step, rk4_step
-and nonlinear_deriv) live in quadmodel.arrays and resolve here lazily.
+The numpy twins (Trajectory, simulate, simulate_feedback,
+simulate_nonlinear, zoh_discretize, zoh_step, rk4_step and
+nonlinear_deriv) live in quadmodel.arrays and resolve here lazily;
+rk4_step and nonlinear_deriv are the reference _rk4_held_forces is pinned to.
 """
 
 from __future__ import annotations
@@ -39,11 +37,12 @@ from ._record import Record
 from .linalg import expm_rows, matmul, nonzeros
 from .params import QuadParams
 
+# checked only, and kept while perfbench's tilt_sweep passes integrator= and plant=
 INTEGRATORS = ("exact_zoh", "rk4")
 PLANTS = ("linear_3dof", "linear_6dof", "nonlinear_6dof")
 
 MAX_STEPS = 10_000_000
-CSV_BLOCK_ROWS = 64  # rows per block of a feedback run and of the CSV
+CSV_BLOCK_ROWS = 64  # rows per block of a run and of the CSV
 
 
 class StepCountExceeded(ValueError):
@@ -58,13 +57,10 @@ class NonFiniteState(ArithmeticError):
     """The propagated state left the finite floats."""
 
 
-def _n_steps(t_final: float, dt: float) -> int:
-    # ceil with a small backoff so t_final = k*dt does not round up to k+1
-    return max(1, math.ceil(t_final / dt - 1e-9))
-
-
 class SimConfig(Record):
-    """Run settings: horizon, step, integrator, and which plant to drive."""
+    """Run settings: horizon and step. integrator and plant are only
+    checked: the numpy simulators refuse a plant that is not theirs, and the
+    linear ones refuse rk4 (see INTEGRATORS)."""
 
     t_final: float
     dt: float = 0.001
@@ -82,34 +78,57 @@ class SimConfig(Record):
             raise ValueError(f"unknown integrator {self.integrator!r}; choose from {INTEGRATORS}")
         if self.plant not in PLANTS:
             raise ValueError(f"unknown plant {self.plant!r}; choose from {PLANTS}")
-        if _n_steps(self.t_final, self.dt) > MAX_STEPS:
+        # n_steps > MAX_STEPS, decided before ceil, which an infinite ratio overflows
+        if self.t_final / self.dt - 1e-9 > MAX_STEPS:
             raise StepCountExceeded(
                 f"t_final/dt = {self.t_final / self.dt:.3g} exceeds the {MAX_STEPS} step guard"
             )
 
     @property
     def n_steps(self) -> int:
-        return _n_steps(self.t_final, self.dt)
+        # ceil with a small backoff so t_final = k*dt does not round up to k+1
+        return max(1, math.ceil(self.t_final / self.dt - 1e-9))
 
 
-def feedback_rows(a, b, K, r, x0, cfg: SimConfig) -> list[array]:
-    """The run of simulate_feedback on nested lists, as array('d') blocks of
-    CSV_BLOCK_ROWS rows t, x, u, only the last one partial. Each step is
-    x+ = c + F x and u = r + (-K) x with F = Phi - Gamma K and c = Gamma r
-    (_held_offset), each row summed from its offset over its nonzeros, so a
-    6DOF step costs the chain blocks, and at K = 0 each input keeps r's bits, -0.0 too."""
-    phi, gamma = expm_rows(a, b, cfg.dt)
-    rows = [[p - q for p, q in zip(pr, qr)] for pr, qr in zip(phi, matmul(gamma, K))]
-    offsets = [_held_offset(pairs, r) for pairs in nonzeros(gamma)]
-    step = _step_function(rows, offsets, [[-v for v in row] for row in K], r)
+def held_rows(step, inputs, x0, cfg: SimConfig, rows: int = CSV_BLOCK_ROWS) -> list[array]:
+    """The one run loop: array('d') blocks of `rows` rows t, x, u, only the
+    last one partial. At each t = i dt the held input u = inputs(t, x) is
+    sampled and the row recorded, then x = step(t, x, u), except after the
+    last row; x is a tuple of floats. A run whose step did not raise is
+    scanned once at its end (_raise_first_non_finite)."""
     blocks, x, dt, n = [], tuple(x0), cfg.dt, cfg.n_steps + 1
-    for lo in range(0, n, CSV_BLOCK_ROWS):
+    for lo in range(0, n, rows):
         blocks.append(block := array("d"))
-        for i in range(lo, min(lo + CSV_BLOCK_ROWS, n)):
-            row, x = step(i * dt, *x)
-            block.fromlist(row)
-    _raise_first_non_finite(blocks, len(a), 1 + len(a) + len(r))
+        for i in range(lo, min(lo + rows, n)):
+            t = i * dt
+            u = inputs(t, x)
+            block.fromlist([t, *x, *u])
+            if i < n - 1:
+                x = step(t, x, u)
+    _raise_first_non_finite(blocks, len(x), 1 + len(x) + len(u))
     return blocks
+
+
+def feedback_rows(a, b, K, r, x0, cfg: SimConfig, rows: int = CSV_BLOCK_ROWS) -> list[array]:
+    """The run of simulate_feedback on nested lists, as held_rows' blocks.
+    Each step is x+ = c + F x and u = r + (-K) x with F = Phi - Gamma K and
+    c = Gamma r (_held_offset), each row summed from its offset over its
+    nonzeros, so a 6DOF step costs the chain blocks, and at K = 0 each input
+    keeps r's bits, -0.0 too."""
+    phi, gamma = expm_rows(a, b, cfg.dt)
+    f_rows = [[p - q for p, q in zip(pr, qr)] for pr, qr in zip(phi, matmul(gamma, K))]
+    step = _affine_function(f_rows, [_held_offset(pairs, r) for pairs in nonzeros(gamma)], len(a))
+    inputs = _affine_function([[-v for v in row] for row in K], r, len(a))
+    return held_rows(step, inputs, x0, cfg, rows)
+
+
+def linear_rows(a, b, inputs, x0, cfg: SimConfig, rows: int = CSV_BLOCK_ROWS) -> list[array]:
+    """The exact-ZOH run of x' = A x + B u under the held u = inputs(t, x), a
+    sequence of floats, as held_rows' blocks: each step is x+ = Phi x + Gamma u,
+    each row summed over the nonzeros of Phi, then of Gamma."""
+    phi, gamma = expm_rows(a, b, cfg.dt)
+    step = _affine_function([pr + gr for pr, gr in zip(phi, gamma)], [None] * len(a), len(a))
+    return held_rows(step, inputs, x0, cfg, rows)
 
 
 def _held_offset(pairs, r) -> float:
@@ -125,20 +144,22 @@ def _held_offset(pairs, r) -> float:
     return sum((v * s for v, s in sums.items()), 0.0)
 
 
-def _step_function(f_rows, c, k_rows, r):
-    """The function (t, x) -> ([t, x, r + k_rows x], c + f_rows x), written
-    out as one expression that sums each row left to right from its offset
-    over its nonzeros: a step is then one call, not a loop per row. Only
-    indices go into the source; the coefficients are bound as names."""
+def _affine_function(rows, offsets, n: int):
+    """The function (t, x, u=()) -> (offsets[i] + rows[i] . (x, u) for each
+    row i), x of length n, as one expression per row, summed left to right
+    from its offset (from its first product where the offset is None) over
+    its nonzeros: a step is then one call, not a loop per row. Only indices
+    go into the source; the coefficients are bound as names."""
     names, terms = {}, []
-    for i, (pairs, offset) in enumerate(zip(nonzeros(k_rows + f_rows), list(r) + list(c))):
+    for i, (pairs, offset) in enumerate(zip(nonzeros(rows), offsets)):
         names[f"c{i}"] = offset
         names.update((f"f{i}_{j}", v) for j, v in pairs)
-        terms.append("".join([f"c{i}"] + [f" + f{i}_{j} * x{j}" for j, _ in pairs]))
-    x = [f"x{j}" for j in range(len(f_rows))]
-    inputs, states = terms[: len(r)], terms[len(r) :]
-    source = f"lambda t, {', '.join(x)}: ([t, {', '.join(x + inputs)}], ({', '.join(states)},))"
-    return eval(source, names)
+        products = [f"f{i}_{j} * v{j}" for j, _ in pairs]
+        terms.append(" + ".join([f"c{i}"] * (offset is not None) + products))
+    v = [f"v{j}, " for j in range(len(rows[0]) if rows else n)]
+    unpack = f" {''.join(v[:n])}= x\n" + (f" {''.join(v[n:])}= u\n" if v[n:] else "")
+    exec(f"def f(t, x, u=()):\n{unpack} return ({''.join(t + ', ' for t in terms)})", names)
+    return names.pop("f")  # f's globals are names: left in them, f would be a reference cycle
 
 
 def _raise_first_non_finite(blocks, n: int, width: int) -> None:
@@ -157,33 +178,23 @@ def _raise_first_non_finite(blocks, n: int, width: int) -> None:
 
 def nonlinear_rows(p: QuadParams, forces, x0, cfg: SimConfig,
                    rows: int = CSV_BLOCK_ROWS) -> list[array]:
-    """simulate_nonlinear's run as feedback_rows returns its own: array('d')
-    blocks of `rows` rows t, x, F. forces(t, x), x a tuple of floats, gives
-    the four forces, as floats, held from t; each step raises
-    NonFiniteDerivative if it left the finite floats, and the last forces,
-    which drive no step, are checked."""
-    blocks, x, dt, n = [], tuple(x0), cfg.dt, cfg.n_steps + 1
-    for lo in range(0, n, rows):
-        blocks.append(block := array("d"))
-        for i in range(lo, min(lo + rows, n)):
-            t = i * dt
-            f = forces(t, x)
-            block.fromlist([t, *x, *f])
-            if i == n - 1:
-                break
-            try:
-                x = _rk4_held_forces(p, x, f, dt)
-                # a finite sum is the common case; an infinite one may be overflow alone
-                finite = math.isfinite(sum(x)) or all(map(math.isfinite, x))
-            except ValueError:  # math.sin or math.cos of an infinite angle
-                finite = False
-            if not finite:
-                raise NonFiniteDerivative(
-                    f"derivative produced non-finite values on the step at t={t:g}"
-                )
-    if not all(map(math.isfinite, f)):
-        raise NonFiniteState(f"input became non-finite at t={t:g}")
-    return blocks
+    """simulate_nonlinear's run as held_rows' blocks of rows t, x, F.
+    forces(t, x) gives the four forces, as floats, held from t; each step
+    raises NonFiniteDerivative if it left the finite floats, so the scan at
+    the end checks the last forces, which drive no step."""
+    dt = cfg.dt
+
+    def step(t, x, f):
+        try:
+            x = _rk4_held_forces(p, x, f, dt)
+            # a finite sum is the common case; an infinite one may be overflow alone
+            if math.isfinite(sum(x)) or all(map(math.isfinite, x)):
+                return x
+        except ValueError:  # math.sin or math.cos of an infinite angle
+            pass
+        raise NonFiniteDerivative(f"derivative produced non-finite values on the step at t={t:g}")
+
+    return held_rows(step, forces, x0, cfg, rows)
 
 
 def _rk4_held_forces(p: QuadParams, x, forces, dt: float) -> tuple[float, ...]:

@@ -463,6 +463,18 @@ def test_bad_dt_is_exit_2(capsys, params_file, tmp_path):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("t_final,dt", [("1e300", "1e-300"), ("1", "5e-324")])
+def test_a_step_count_beyond_float64_is_exit_2(capsys, params_file, tmp_path, t_final, dt):
+    # t_final/dt is inf: the step guard refuses it before rounding, where
+    # ceil(inf) raised OverflowError, a traceback and exit 1
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--t-final", t_final, "--dt", dt, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "quadmodel: error: t_final/dt = inf exceeds the 10000000 step guard\n"
+    assert not out_path.exists()
+
+
 def test_failed_stability_check_is_exit_4(capsys, params_file, tmp_path):
     # poles at -300 are Hurwitz, but sampled every 10 ms the loop
     # Phi - Gamma K has |z| > 1 and the run would reach z = 3.6e92 by t = 1 s
