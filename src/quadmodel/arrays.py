@@ -262,8 +262,11 @@ def _linear_only(cfg: SimConfig, caller: str) -> None:
         raise ValueError(f"{caller} needs a linear plant and integrator='exact_zoh'")
 
 
-def _trajectory(run, state_labels, input_labels) -> Trajectory:
-    """A run's one block of rows t, x, u as a Trajectory of views of it."""
+def _trajectory(blocks, state_labels, input_labels) -> Trajectory:
+    """A run's blocks of rows t, x, u, joined as yielded, as a Trajectory of views."""
+    run = next(blocks)  # every run has a first block, its x0 row
+    for block in blocks:
+        run += block
     width = 1 + len(state_labels)
     t, x, u = np.split(np.frombuffer(run).reshape(-1, width + len(input_labels)), [1, width], 1)
     return Trajectory(t[:, 0], x, u, state_labels, input_labels)
@@ -275,9 +278,9 @@ def simulate(m: StateSpaceModel, x0, input_fn, cfg: SimConfig) -> Trajectory:
     input_fn may close over anything: a constant vector for open loop,
     u = r - K x for state feedback, or a scripted maneuver. It is sampled
     at each step start and held across the step, and gets a fresh array x
-    each time. The run is linear_rows' in one block. A run that diverges
-    keeps calling input_fn, with the non-finite x, up to the last step, and
-    NonFiniteState is raised after it.
+    each time. The run is linear_rows' blocks, joined. A run that diverges
+    calls input_fn, with the non-finite x, to the end of the CSV_BLOCK_ROWS
+    block in which it left the finite floats, and raises NonFiniteState.
     """
     _linear_only(cfg, "simulate")
     x0 = np.asarray(x0, dtype=float).reshape(m.n).tolist()
@@ -285,15 +288,15 @@ def simulate(m: StateSpaceModel, x0, input_fn, cfg: SimConfig) -> Trajectory:
     def inputs(t, x):
         return np.asarray(input_fn(t, np.array(x)), dtype=float).reshape(m.p).tolist()
 
-    # input_fn may see a non-finite x once the run has diverged
+    # the run steps as _trajectory joins it: input_fn may see a diverged, non-finite x
     with np.errstate(over="ignore", invalid="ignore"):
-        [run] = linear_rows(m.A.tolist(), m.B.tolist(), inputs, x0, cfg, cfg.n_steps + 1)
-    return _trajectory(run, m.state_labels, m.input_labels)
+        return _trajectory(linear_rows(m.A.tolist(), m.B.tolist(), inputs, x0, cfg),
+                           m.state_labels, m.input_labels)
 
 
 def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajectory:
     """Propagate a linear model from x0 under the held input u = r - K x:
-    feedback_rows' run in one block, as a Trajectory of views (exact ZOH only).
+    feedback_rows' blocks, joined, as a Trajectory of views (exact ZOH only).
 
     At K = 0 the times and inputs equal those of simulate with input_fn
     returning r, bit for bit; the states agree within 1e-12 of each
@@ -308,9 +311,8 @@ def simulate_feedback(m: StateSpaceModel, x0, K, r, cfg: SimConfig) -> Trajector
             f"need K of shape {(m.p, m.n)} and r of shape {(m.p,)}, got {K.shape} and {r.shape}"
         )
     x = np.asarray(x0, dtype=float).reshape(m.n)
-    [run] = feedback_rows(m.A.tolist(), m.B.tolist(), K.tolist(), r.tolist(), x.tolist(), cfg,
-                          cfg.n_steps + 1)
-    return _trajectory(run, m.state_labels, m.input_labels)
+    return _trajectory(feedback_rows(m.A.tolist(), m.B.tolist(), K.tolist(), r.tolist(),
+                                     x.tolist(), cfg), m.state_labels, m.input_labels)
 
 
 def nonlinear_deriv(p: QuadParams, x, f: RotorForces) -> np.ndarray:
@@ -349,14 +351,14 @@ def simulate_nonlinear(p: QuadParams, x0, forces_fn, cfg: SimConfig) -> Trajecto
     Always integrates with RK4 (there is no exact propagator here);
     forces are sampled at each step start and held, mirroring the linear
     simulator so the two runs are comparable sample by sample. The run is
-    nonlinear_rows' in one block, with x handed to forces_fn as an array.
+    nonlinear_rows' blocks, joined, with x handed to forces_fn as an array.
     """
     validate(p)
     if cfg.plant != "nonlinear_6dof":
         raise ValueError("simulate_nonlinear requires cfg.plant = 'nonlinear_6dof'")
     x0 = np.asarray(x0, dtype=float).reshape(12).tolist()
-    [run] = nonlinear_rows(p, lambda t, x: tuple(map(float, forces_fn(t, np.array(x)).as_tuple())),
-                           x0, cfg, cfg.n_steps + 1)
+    run = nonlinear_rows(p, lambda t, x: tuple(map(float, forces_fn(t, np.array(x)).as_tuple())),
+                         x0, cfg)
     return _trajectory(run, DOF6_STATE_LABELS, ROTOR_FORCE_LABELS)
 
 

@@ -16,8 +16,8 @@ Error paths print a one-line diagnostic on stderr and nothing on stdout.
 
 `sim` opens its CSV only after the run succeeded, so no exit 4 leaves
 one, and writes it as UTF-8 bytes, CSV_BLOCK_ROWS rows per %-format: the
-blocks a run on either plant is held in from its first step, which lowers
-peak RSS.
+blocks a run on either plant yields and scans, which lowers peak RSS. A
+--gains-out file is written before the run and removed if the run fails.
 
 Every command runs on the package's float core: `model` prints the nested
 lists of models.model_matrices, `analyze` reads them through
@@ -31,10 +31,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import _twin
-from .linalg import nonzeros
 from .models import CHAINS, LABELS, ROTOR_FORCE_LABELS, model_matrices, model_rows
 from .params import ParameterError, QuadParams, hover_thrust_per_rotor, validate
 from .rotor_forces import GeneralizedInput, RotorForces, demix, demix_values, mix
@@ -43,6 +43,7 @@ from .simulate import (
     NonFiniteDerivative,
     NonFiniteState,
     SimConfig,
+    feedback_law,
     feedback_rows,
     nonlinear_rows,
 )
@@ -248,13 +249,12 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_gains(K, state_labels, input_labels, path: str) -> None:
-    doc = {"input_labels": list(input_labels), "state_labels": list(state_labels), "K": K}
+def _write_file(path: str, what: str, chunks) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
     except OSError as e:
-        raise InputError(f"cannot write gains file {path!r}: {e}") from e
+        raise InputError(f"cannot write {what} file {path!r}: {e}") from e
 
 
 def cmd_sim(args) -> int:
@@ -288,18 +288,15 @@ def cmd_sim(args) -> int:
         except PolePlacementError as e:  # the default poles are valid: the parameters are at fault
             raise InputError(str(e) if args.poles else DEFAULT_POLES_OUT_OF_RANGE) from e
         if args.gains_out:
-            _write_gains(K, state_labels, model_inputs, args.gains_out)
+            doc = {"input_labels": list(model_inputs), "state_labels": list(state_labels), "K": K}
+            _write_file(args.gains_out, "gains", [(json.dumps(doc, indent=2) + "\n").encode()])
 
-    if nonlinear and args.mode == "open":
-        held = tuple(parse_assignments(args.input, input_labels, "input", defaults=[hover] * 4))
-        blocks = nonlinear_rows(p, lambda t, x: held, x0, cfg)
-    elif nonlinear:  # u = -K x over K's nonzeros, demixed: an overflow fails the step
-        gains = nonzeros(K, -1.0)
-
-        def forces(t, x):
-            return demix_values(*[sum([v * x[j] for j, v in row], 0.0) for row in gains], p)
-
-        blocks = nonlinear_rows(p, forces, x0, cfg)
+    if nonlinear and args.mode == "open":  # K = 0: the law holds the forces
+        held = parse_assignments(args.input, input_labels, "input", defaults=[hover] * 4)
+        blocks = nonlinear_rows(p, feedback_law(K, held), x0, cfg)
+    elif nonlinear:  # u = -K x, demixed: an overflow fails the step
+        law = feedback_law(K, [0.0] * 4)
+        blocks = nonlinear_rows(p, lambda t, x: demix_values(*law(t, x), p), x0, cfg)
     else:
         # open loop holds r; closed loop r = hover equilibrium input: zero in
         # the 6DOF deviation coordinates, equal per-rotor hover thrust for the
@@ -308,11 +305,12 @@ def cmd_sim(args) -> int:
              else parse_assignments(args.input, input_labels, "input"))
         blocks = feedback_rows(a, b, K, r, x0, cfg)
 
-    try:
-        with open(args.out, "wb") as fh:
-            fh.writelines(csv_chunks(state_labels + input_labels, blocks))
-    except OSError as e:
-        raise InputError(f"cannot write output file {args.out!r}: {e}") from e
+    try:  # list: the whole run, each block scanned, before the file opens
+        _write_file(args.out, "output", csv_chunks(state_labels + input_labels, list(blocks)))
+    except BaseException:  # a failed run leaves no gains file; a device or symlink there stays
+        if args.gains_out and os.path.isfile(args.gains_out) and not os.path.islink(args.gains_out):
+            os.remove(args.gains_out)
+        raise
     return EXIT_OK
 
 

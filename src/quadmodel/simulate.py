@@ -6,19 +6,19 @@ so the zero-order-hold discretization is a finite polynomial in A, with
 no truncation. The nonlinear plant is integrated by classical RK4.
 
 Every run goes through one loop, held_rows, which samples the input at the
-start of each step and holds it across the step. feedback_rows (u = r - K
-x), linear_rows (any input function) and nonlinear_rows (the nonlinear
-plant under held forces) give it their step and input, and get the CSV's
-blocks of CSV_BLOCK_ROWS rows: 8.7 KB blocks reuse the heap that compiling
-the package freed, where one 680 KB run buffer maps fresh pages.
+start of each step and holds it across the step. feedback_rows (u = r - K x),
+linear_rows (any input function) and nonlinear_rows (the nonlinear plant under
+held forces) give it their step and input, and return its generator of the
+CSV's blocks of CSV_BLOCK_ROWS rows: 8.7 KB blocks reuse the heap that
+compiling the package freed, where one 680 KB run buffer maps fresh pages.
 
-A run that leaves the finite floats raises instead of returning. A
-diverging linear run completes its steps first, and one scan afterwards
-raises NonFiniteState at the first non-finite input or state row, in step
-order (NaN and inf survive + and *, so nothing is lost by waiting). The
-nonlinear plant hands the state to its forces, so it checks every step and
-raises NonFiniteDerivative at the step that overflowed, an infinite angle
-included. The CLI maps both to exit code 4.
+A run that leaves the finite floats raises instead of yielding. A diverging
+linear run raises NonFiniteState at the end of the block where it left them,
+at its first non-finite input or state row, in step order (NaN and inf
+survive + and *, so nothing is lost by waiting). The nonlinear plant hands
+the state to its forces, so it checks every step and raises
+NonFiniteDerivative at the step that overflowed, an infinite angle included.
+The CLI maps both to exit code 4.
 
 The numpy twins (Trajectory, simulate, simulate_feedback,
 simulate_nonlinear, zoh_discretize, zoh_step, rk4_step and
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain, islice
 
 from . import _twin
 from ._record import Record
@@ -90,45 +89,47 @@ class SimConfig(Record):
         return max(1, math.ceil(self.t_final / self.dt - 1e-9))
 
 
-def held_rows(step, inputs, x0, cfg: SimConfig, rows: int = CSV_BLOCK_ROWS) -> list[array]:
-    """The one run loop: array('d') blocks of `rows` rows t, x, u, only the
-    last one partial. At each t = i dt the held input u = inputs(t, x) is
-    sampled and the row recorded, then x = step(t, x, u), except after the
-    last row; x is a tuple of floats. A run whose step did not raise is
-    scanned once at its end (_raise_first_non_finite)."""
-    blocks, x, dt, n = [], tuple(x0), cfg.dt, cfg.n_steps + 1
-    for lo in range(0, n, rows):
-        blocks.append(block := array("d"))
-        for i in range(lo, min(lo + rows, n)):
+def held_rows(step, inputs, x0, cfg: SimConfig):
+    """The one run loop: yields array('d') blocks of CSV_BLOCK_ROWS rows t, x,
+    u, each scanned (_raise_first_non_finite), only the last one partial. At
+    each t = i dt the held input u = inputs(t, x) is sampled and the row
+    recorded, then x = step(t, x, u), except after the last row; x is a tuple."""
+    x, dt, n = tuple(x0), cfg.dt, cfg.n_steps + 1
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        block = array("d")
+        for i in range(lo, min(lo + CSV_BLOCK_ROWS, n)):
             t = i * dt
             u = inputs(t, x)
             block.fromlist([t, *x, *u])
             if i < n - 1:
                 x = step(t, x, u)
-    _raise_first_non_finite(blocks, len(x), 1 + len(x) + len(u))
-    return blocks
+        _raise_first_non_finite(block, 1 + len(x) if lo == 0 else 0, len(x), 1 + len(x) + len(u))
+        yield block
 
 
-def feedback_rows(a, b, K, r, x0, cfg: SimConfig, rows: int = CSV_BLOCK_ROWS) -> list[array]:
+def feedback_rows(a, b, K, r, x0, cfg: SimConfig):
     """The run of simulate_feedback on nested lists, as held_rows' blocks.
-    Each step is x+ = c + F x and u = r + (-K) x with F = Phi - Gamma K and
-    c = Gamma r (_held_offset), each row summed from its offset over its
-    nonzeros, so a 6DOF step costs the chain blocks, and at K = 0 each input
-    keeps r's bits, -0.0 too."""
+    Each step is x+ = c + F x and u = feedback_law(K, r) with F = Phi -
+    Gamma K and c = Gamma r (_held_offset), each row summed from its offset
+    over its nonzeros, so a 6DOF step costs the chain blocks."""
     phi, gamma = expm_rows(a, b, cfg.dt)
     f_rows = [[p - q for p, q in zip(pr, qr)] for pr, qr in zip(phi, matmul(gamma, K))]
     step = _affine_function(f_rows, [_held_offset(pairs, r) for pairs in nonzeros(gamma)], len(a))
-    inputs = _affine_function([[-v for v in row] for row in K], r, len(a))
-    return held_rows(step, inputs, x0, cfg, rows)
+    return held_rows(step, feedback_law(K, r), x0, cfg)
 
 
-def linear_rows(a, b, inputs, x0, cfg: SimConfig, rows: int = CSV_BLOCK_ROWS) -> list[array]:
+def feedback_law(K, r):
+    """u = r + (-K) x as a function (t, x), summed from r over -K's nonzeros."""
+    return _affine_function([[-v for v in row] for row in K], r, len(K[0]))
+
+
+def linear_rows(a, b, inputs, x0, cfg: SimConfig):
     """The exact-ZOH run of x' = A x + B u under the held u = inputs(t, x), a
     sequence of floats, as held_rows' blocks: each step is x+ = Phi x + Gamma u,
     each row summed over the nonzeros of Phi, then of Gamma."""
     phi, gamma = expm_rows(a, b, cfg.dt)
     step = _affine_function([pr + gr for pr, gr in zip(phi, gamma)], [None] * len(a), len(a))
-    return held_rows(step, inputs, x0, cfg, rows)
+    return held_rows(step, inputs, x0, cfg)
 
 
 def _held_offset(pairs, r) -> float:
@@ -162,26 +163,25 @@ def _affine_function(rows, offsets, n: int):
     return names.pop("f")  # f's globals are names: left in them, f would be a reference cycle
 
 
-def _raise_first_non_finite(blocks, n: int, width: int) -> None:
-    """Raise NonFiniteState at the first non-finite value of a run's blocks
-    of flat rows (t, x, u), state row 0 aside: step i reads input i before it
-    writes state i + 1, which is the rows' order, and NaN and inf survive + and *."""
+def _raise_first_non_finite(block, start: int, n: int, width: int) -> None:
+    """Raise NonFiniteState at the first non-finite value of a block of flat
+    rows (t, x, u) from index start on, past state row 0: step i reads input
+    i before it writes state i + 1, which is the rows' order."""
     # a finite sum is the common case; an infinite one may be overflow alone
-    if math.isfinite(sum(map(sum, blocks))):
+    if math.isfinite(sum(block)):
         return
-    for k, v in enumerate(islice(chain.from_iterable(blocks), 1 + n, None), 1 + n):
-        if not math.isfinite(v):
+    for k in range(start, len(block)):
+        if not math.isfinite(block[k]):
             i, col = divmod(k, width)
-            t = next(islice(chain.from_iterable(blocks), i * width, None))
+            t = block[i * width]
             raise NonFiniteState(f"{'state' if col <= n else 'input'} became non-finite at t={t:g}")
 
 
-def nonlinear_rows(p: QuadParams, forces, x0, cfg: SimConfig,
-                   rows: int = CSV_BLOCK_ROWS) -> list[array]:
+def nonlinear_rows(p: QuadParams, forces, x0, cfg: SimConfig):
     """simulate_nonlinear's run as held_rows' blocks of rows t, x, F.
     forces(t, x) gives the four forces, as floats, held from t; each step
-    raises NonFiniteDerivative if it left the finite floats, so the scan at
-    the end checks the last forces, which drive no step."""
+    raises NonFiniteDerivative if it left the finite floats, so the last
+    block's scan checks the last forces, which drive no step."""
     dt = cfg.dt
 
     def step(t, x, f):
@@ -194,7 +194,7 @@ def nonlinear_rows(p: QuadParams, forces, x0, cfg: SimConfig,
             pass
         raise NonFiniteDerivative(f"derivative produced non-finite values on the step at t={t:g}")
 
-    return held_rows(step, forces, x0, cfg, rows)
+    return held_rows(step, forces, x0, cfg)
 
 
 def _rk4_held_forces(p: QuadParams, x, forces, dt: float) -> tuple[float, ...]:

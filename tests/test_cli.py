@@ -21,7 +21,12 @@ from quadmodel import (
     simulate_feedback,
     simulate_nonlinear,
 )
-from quadmodel.cli import CSV_BLOCK_ROWS, main, write_trajectory_csv
+from quadmodel.cli import CSV_BLOCK_ROWS, csv_chunks, main, write_trajectory_csv
+from quadmodel.linalg import nonzeros
+from quadmodel.models import ROTOR_FORCE_LABELS
+from quadmodel.rotor_forces import demix_values
+from quadmodel.simulate import nonlinear_rows
+from quadmodel.stabilize import design_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -502,6 +507,78 @@ def test_sampled_loop_refusal_writes_no_gains(capsys, params_file, tmp_path, dof
                          "--mode", "closed", "--poles=-300", "--dt", "0.001",
                          "--t-final", "1", "--x0", x0, "--out", str(tmp_path / "x.csv"))
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv,out_name,code,message", [
+    (["--plant", "nonlinear", "--x0", "phi_dot=1e308"], "o.csv", 4,
+     "quadmodel: simulation failed: derivative produced non-finite values on the step at t=0\n"),
+    ([], "nodir/o.csv", 2, "quadmodel: error: cannot write output file "),
+], ids=["diverging-run", "unwritable-out"])
+def test_a_failed_sim_removes_its_gains_file(capsys, params_file, tmp_path, argv, out_name, code,
+                                             message):
+    # the gains are written before the run, so that an unwritable --gains-out
+    # fails first; a run or a CSV write that then fails takes them back
+    out_path, gains_path = tmp_path / out_name, tmp_path / "g.json"
+    got = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed", *argv,
+              "--t-final", "1", "--out", str(out_path), "--gains-out", str(gains_path))
+    assert got[:2] == (code, "") and got[2].startswith(message)
+    assert not out_path.exists() and not gains_path.exists()
+
+
+def test_a_failed_sim_keeps_a_gains_path_that_is_no_regular_file(capsys, params_file, tmp_path):
+    # only a regular file is removed: a symlink at --gains-out stays, as a
+    # device such as /dev/null does
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, _ = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed",
+                       "--plant", "nonlinear", "--x0", "phi_dot=1e308", "--t-final", "1",
+                       "--out", str(tmp_path / "o.csv"), "--gains-out", str(link))
+    assert (code, out) == (4, "") and link.is_symlink() and target.is_file()
+
+
+def test_an_unwritable_gains_file_fails_before_the_run(capsys, params_file, tmp_path):
+    out_path = tmp_path / "o.csv"
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed",
+                         "--x0", "x=1e308,vx=1e308", "--t-final", "1", "--out", str(out_path),
+                         "--gains-out", str(tmp_path / "nodir" / "g.json"))
+    assert (code, out) == (2, "") and err.startswith("quadmodel: error: cannot write gains file ")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("mode,x0", [("closed", "z=0.5,theta=0.05"),
+                                     ("closed", "x=0.2,y=-0.1,phi=0.05,theta=0.05,psi_dot=0.3"),
+                                     ("open", "theta=0.05,phi_dot=-0.1")])
+def test_sim_nonlinear_csv_matches_the_force_closure_reference(capsys, params, params_file,
+                                                               tmp_path, mode, x0):
+    # sim drives the nonlinear plant through simulate.feedback_law; the
+    # reference writes u = -K x out per row, summed from 0.0 over K's
+    # nonzeros (closed loop), or holds the forces tuple (open loop): the same
+    # bits, so the same bytes
+    out_path = tmp_path / "traj.csv"
+    argv = ["--mode", mode] + (["--poles=-3"] if mode == "closed" else ["--input", "F1=2.5"])
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file, "--plant",
+                         "nonlinear", *argv, "--x0", x0, "--t-final", "1.3", "--dt", "0.001",
+                         "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    start = [0.0] * 12
+    for part in x0.split(","):
+        label, value = part.split("=")
+        start[DOF6_STATE_LABELS.index(label)] = float(value)
+    if mode == "closed":
+        gains = nonzeros(design_rows(params, PoleSpec.uniform_6dof(-3.0), 6), -1.0)
+
+        def forces(t, x):
+            return demix_values(*[sum([v * x[j] for j, v in row], 0.0) for row in gains], params)
+    else:
+        hover = hover_thrust_per_rotor(params)
+        held = (2.5, hover, hover, hover)
+
+        def forces(t, x):
+            return held
+
+    blocks = nonlinear_rows(params, forces, start, SimConfig(t_final=1.3, dt=0.001))
+    labels = DOF6_STATE_LABELS + ROTOR_FORCE_LABELS
+    assert out_path.read_bytes() == b"".join(csv_chunks(labels, blocks))
 
 
 def test_nonlinear_closed_loop_runs_at_desk_poles(capsys, params_file, tmp_path):

@@ -431,6 +431,24 @@ def test_feedback_reports_a_non_finite_state_first(params):
                           SimConfig(t_final=1.0, dt=0.01))
 
 
+def test_a_diverging_run_stops_at_the_end_of_its_block(params):
+    # the state leaves the finite floats at t = 0.8, row 80, in the second
+    # block of CSV_BLOCK_ROWS rows: input_fn is called to that block's end,
+    # not over the 10,001 rows of the whole run
+    m = build_6dof(params)
+    x0 = np.zeros(12)
+    x0[0] = x0[3] = 1e308
+    calls = []
+
+    def input_fn(t, x):
+        calls.append(t)
+        return np.zeros(4)
+
+    with pytest.raises(NonFiniteState, match=r"^state became non-finite at t=0\.8$"):
+        simulate(m, x0, input_fn, SimConfig(t_final=100.0, dt=0.01))
+    assert len(calls) == 2 * CSV_BLOCK_ROWS <= 128
+
+
 def _flat_feedback_rows(a, b, K, r, x0, cfg):
     """The rows of the loop x+ = c + F x, u = r + (-K) x as one flat
     array('d'), each entry summed left to right from its offset over its
@@ -465,7 +483,7 @@ def test_feedback_rows_are_whole_blocks_of_the_flat_runs_bytes(params, dof, mode
         r = [0.0 if dof == 6 else hover_thrust_per_rotor(params)] * 4
     x0 = [0.1 * (-1) ** j / (j + 1) for j in range(n)]
     cfg = SimpleNamespace(dt=0.01, n_steps=rows - 1)  # all feedback_rows reads of a SimConfig
-    blocks = feedback_rows(a, b, K, r, x0, cfg)
+    blocks = list(feedback_rows(a, b, K, r, x0, cfg))
     full, last = divmod(rows, CSV_BLOCK_ROWS)
     sizes = [CSV_BLOCK_ROWS] * full + ([last] if last else [])
     assert all(type(block) is array and block.typecode == "d" for block in blocks)
@@ -648,7 +666,7 @@ def test_nonlinear_rows_are_whole_blocks_of_simulate_nonlinears_table(params, ro
     x0 = [0.1 * (-1) ** j / (j + 1) for j in range(12)]
     cfg = SimConfig(t_final=(rows - 1) * 0.01, dt=0.01, integrator="rk4", plant="nonlinear_6dof")
     assert cfg.n_steps + 1 == rows
-    blocks = nonlinear_rows(params, lambda t, x: f.as_tuple(), x0, cfg)
+    blocks = list(nonlinear_rows(params, lambda t, x: f.as_tuple(), x0, cfg))
     full, last = divmod(rows, CSV_BLOCK_ROWS)
     sizes = [CSV_BLOCK_ROWS] * full + ([last] if last else [])
     assert all(type(block) is array and block.typecode == "d" for block in blocks)
@@ -666,7 +684,7 @@ def test_nonlinear_rows_check_the_last_forces_which_drive_no_step(params):
         return (h, h, h, math.inf if t > 0.015 else h)
 
     with pytest.raises(NonFiniteState, match=r"^input became non-finite at t=0\.02$"):
-        nonlinear_rows(params, forces, [0.0] * 12, cfg)
+        list(nonlinear_rows(params, forces, [0.0] * 12, cfg))
 
 
 class _Dual:
