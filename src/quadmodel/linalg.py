@@ -5,11 +5,10 @@ The matrices in this problem are tiny (at most 12x48, or 72x12) with
 exact-formula entries, mostly exact zeros, which nonzeros, matmul and
 expm_rows skip. The exact kernel decides on the integers 2^s A
 (int_rows): ranks by fraction-free elimination (span_add), nilpotency by
-powers (_nilpotency_ints), characteristic polynomials (_poly_ints) by a
-Hessenberg recurrence (open-loop A, continuous chain blocks) or else
-Faddeev-LeVerrier (dense 4x4 sampled blocks), chosen from the nonzero
-pattern. The cores take integer rows, so a caller converts a matrix once and
-reads every answer from it; char_poly_ints wraps them.
+powers (_nilpotency_ints), characteristic polynomials (_poly_ints) by
+Berkowitz's division-free recurrence, for any square matrix. The cores take
+integer rows, so a caller converts a matrix once and reads every answer
+from it; char_poly_ints wraps them.
 No general eigensolver is used: the open-loop models are nilpotent, and a
 closed loop is checked chain block by chain block (_poly_ints + is_hurwitz_ints).
 The numpy twins (StateSpaceModel, char_poly, expm_nilpotent, is_hurwitz,
@@ -143,49 +142,40 @@ def char_poly_ints(a) -> tuple[list[int], int]:
 
 
 def _poly_ints(rows) -> list[int]:
-    """[1, C_1, ..., C_n] of char_poly_ints from the rows of int_rows: nothing
-    rounds or overflows. If 2^s A or its transpose is upper Hessenberg
-    (every open-loop chain A and pole-placed chain block is), the recurrence
-    _hessenberg_poly runs, else Faddeev-LeVerrier: C_k = -tr(A M_k) / k."""
-    n, u = len(rows), {(i, k): v for i, row in enumerate(rows) for k, v in row}
-    if all(i <= k + 1 for i, k in u):  # upper Hessenberg
-        return _hessenberg_poly(n, u)
-    if all(k <= i + 1 for i, k in u):  # lower: its transpose is
-        return _hessenberg_poly(n, {(k, i): v for (i, k), v in u.items()})
-    coeffs, am, c = [1], [{} for _ in rows], 1
-    for k in range(1, n + 1):
-        if c:  # M_k = A M_(k-1) + C_(k-1) I, in place
-            for i, row in enumerate(am):
-                row[i] = row.get(i, 0) + c
-        mk = [row.items() for row in am]
-        am = [row_times(pairs, mk, 0) for pairs in rows]
-        c = -sum(row.get(i, 0) for i, row in enumerate(am)) // k
-        coeffs.append(c)
-        if not any(am):  # A M_k = 0 and C_k = 0: so are all later ones
-            return coeffs + [0] * (n - k)
-    return coeffs
-
-
-def _hessenberg_poly(n: int, u: dict) -> list[int]:
-    """[1, C_1, ..., C_n] of det(lambda I - U) for an n x n upper Hessenberg
-    integer matrix U given as {(row, column): nonzero}, division-free
-    (Wilkinson, The Algebraic Eigenvalue Problem, ch. 6). With p_k the
-    polynomial of the leading k x k block, highest power first, p_0 = 1 and
-    p_(k+1) = (lambda - u_kk) p_k - sum_(i<k) u_ik (u_(i+1,i) ... u_(k,k-1)) p_i;
-    a sum stops at its first zero subdiagonal factor."""
-    polys, sub = [[1]], [u.get((i, i - 1), 0) for i in range(n)]
-    for k in range(n):
-        p, f = polys[-1] + [0], 1  # lambda p_k, then u_kk p_k with f = 1
-        for i in range(k, -1, -1):
-            v = u.get((i, k))
-            if v:
-                for j, c in enumerate(polys[i], k - i + 1):
-                    p[j] -= v * f * c
-            f *= sub[i]
-            if not f:
-                break
-        polys.append(p)
-    return polys[-1]
+    """[1, C_1, ..., C_n] of char_poly_ints from the rows of int_rows, by
+    Berkowitz's division-free recurrence (Inform. Process. Lett. 18(3),
+    1984), so nothing rounds or overflows. With p_r the polynomial of the
+    leading r x r block M, highest power first, p_0 = [1] and p_(r+1) =
+    T p_r, T the lower triangular Toeplitz matrix of [1, -a_rr, -R C,
+    -R M C, ..., -R M^(r-1) C], where R is row r left of the diagonal and C
+    column r above it. R M^k runs on the sparse rows only while it and C
+    have a nonzero, and zero terms of T are skipped."""
+    cols = [{} for _ in rows]  # each column above the diagonal, built once
+    for i, row in enumerate(rows):
+        for k, v in row:
+            if k > i:
+                cols[k][i] = v
+    p = [1]
+    for r, (row, col) in enumerate(zip(rows, cols)):
+        q, a, u = p + [0], 0, {}  # q = lambda p_r
+        for k, v in row:
+            if k < r:
+                u[k] = v
+            elif k == r:
+                a = v
+        if a:
+            for j, c in enumerate(p, 1):
+                q[j] -= a * c
+        d = 2  # u = R M^(d-2), and T's d-th subdiagonal is -u C
+        while u and col and d <= r + 1:
+            t = -sum(v * u[c] for c, v in col.items() if c in u)
+            if t:
+                for j, c in enumerate(p[:r + 2 - d], d):
+                    q[j] += t * c
+            u = {c: v for c, v in row_times(u.items(), rows, 0).items() if c < r and v}
+            d += 1
+        p = q
+    return p
 
 
 def rounded_poly(coeffs: list[int], s: int) -> list[float]:

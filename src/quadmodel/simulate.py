@@ -103,7 +103,7 @@ def held_rows(step, inputs, x0, cfg: SimConfig):
             block.fromlist([t, *x, *u])
             if i < n - 1:
                 x = step(t, x, u)
-        _raise_first_non_finite(block, 1 + len(x) if lo == 0 else 0, len(x), 1 + len(x) + len(u))
+        _raise_first_non_finite(block, len(x), 1 + len(x) + len(u))
         yield block
 
 
@@ -163,14 +163,14 @@ def _affine_function(rows, offsets, n: int):
     return names.pop("f")  # f's globals are names: left in them, f would be a reference cycle
 
 
-def _raise_first_non_finite(block, start: int, n: int, width: int) -> None:
+def _raise_first_non_finite(block, n: int, width: int) -> None:
     """Raise NonFiniteState at the first non-finite value of a block of flat
-    rows (t, x, u) from index start on, past state row 0: step i reads input
-    i before it writes state i + 1, which is the rows' order."""
+    rows (t, x, u): step i reads input i before it writes state i + 1, which
+    is the rows' order."""
     # a finite sum is the common case; an infinite one may be overflow alone
     if math.isfinite(sum(block)):
         return
-    for k in range(start, len(block)):
+    for k in range(len(block)):
         if not math.isfinite(block[k]):
             i, col = divmod(k, width)
             t = block[i * width]

@@ -254,8 +254,8 @@ entry = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
 
 def small_models(n):
     """Models of n states, 1 or 2 inputs and outputs, with A, B and C
-    drawn from entry: mostly dense, so A is neither upper nor lower
-    Hessenberg and its polynomial takes the Faddeev-LeVerrier path."""
+    drawn from entry: mostly dense, so A has entries on both sides of its
+    diagonal and its polynomial forms the products R M^k C of most rows."""
     def matrix(rows, cols):
         return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(
             lambda v: np.array(v).reshape(rows, cols))

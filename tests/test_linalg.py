@@ -27,6 +27,7 @@ from quadmodel import (
     observability_matrix,
     poles_to_monic,
     rank,
+    zoh_discretize,
 )
 from quadmodel.linalg import char_poly_ints, int_rows, span_add
 from util import assert_close, fraction_rank, quad_params
@@ -345,7 +346,7 @@ def square(n):
 
 def hessenberg(a, cut, lower):
     """a with every entry below its subdiagonal zeroed, and the subdiagonal
-    entries of the rows in cut, where the recurrence's sums stop; then
+    entries of the rows in cut, which split it into diagonal blocks; then
     transposed to lower Hessenberg if lower."""
     a = [[x if i < j + 1 or (i == j + 1 and i not in cut) else 0.0 for j, x in enumerate(row)]
          for i, row in enumerate(a)]
@@ -355,14 +356,17 @@ def hessenberg(a, cut, lower):
 DESK = QuadParams(m=1.0, d=0.25, c=0.01, Ix=0.01, Iy=0.01, Iz=0.02, g=9.81)
 DESK_6DOF = build_6dof(DESK)
 ROLL = next(ch.states for ch in CHAINS_6DOF if ch.name == "roll")
-ROLL_BLOCK = (DESK_6DOF.A - DESK_6DOF.B @ design_6dof_gains(DESK, PoleSpec.uniform_6dof()).K)[
-    np.ix_(ROLL, ROLL)].tolist()
+DESK_K = design_6dof_gains(DESK, PoleSpec.uniform_6dof()).K
+ROLL_BLOCK = (DESK_6DOF.A - DESK_6DOF.B @ DESK_K)[np.ix_(ROLL, ROLL)].tolist()
+PHI, GAMMA = zoh_discretize(DESK_6DOF, 1e-3)
+SAMPLED_ROLL_BLOCK = ((PHI - np.eye(12)) - GAMMA @ DESK_K)[np.ix_(ROLL, ROLL)].tolist()
 
 
 @settings(max_examples=80, deadline=None)
 @given(a=st.integers(1, 12).flatmap(lambda n: square(n) | st.builds(
     hessenberg, square(n), st.sets(st.integers(1, n)), st.booleans())))
 @example(a=ROLL_BLOCK)  # a companion block: the chain's superdiagonal and one input row
+@example(a=SAMPLED_ROLL_BLOCK)  # the sampled gate's block at dt = 1 ms: dense
 @example(a=DESK_6DOF.A.tolist())  # strictly upper triangular
 @example(a=(-np.eye(4)).tolist())
 @example(a=[[1e200, 0.0], [0.0, 1e200]])  # c2 = 1e400 overflows to inf

@@ -431,6 +431,24 @@ def test_feedback_reports_a_non_finite_state_first(params):
                           SimConfig(t_final=1.0, dt=0.01))
 
 
+def test_a_non_finite_x0_is_reported_at_t_0(params):
+    # the first block is scanned from its first row, which holds x0
+    m = build_6dof(params)
+    x0 = np.zeros(12)
+    x0[0] = np.nan
+    cfg = SimConfig(t_final=1.0, dt=0.01)
+    with pytest.raises(NonFiniteState, match=r"^state became non-finite at t=0$"):
+        simulate(m, x0, lambda t, x: np.zeros(4), cfg)
+    with pytest.raises(NonFiniteState, match=r"^state became non-finite at t=0$"):
+        simulate_feedback(m, x0, np.zeros((4, 12)), np.zeros(4), cfg)
+    # the nonlinear step at t = 0 raises before its block is scanned
+    hover = RotorForces(*[hover_thrust_per_rotor(params)] * 4)
+    with pytest.raises(NonFiniteDerivative, match=r"^derivative produced non-finite values "
+                                                  r"on the step at t=0$"):
+        simulate_nonlinear(params, x0, lambda t, x: hover,
+                           SimConfig(t_final=1.0, dt=0.01, plant="nonlinear_6dof"))
+
+
 def test_a_diverging_run_stops_at_the_end_of_its_block(params):
     # the state leaves the finite floats at t = 0.8, row 80, in the second
     # block of CSV_BLOCK_ROWS rows: input_fn is called to that block's end,
