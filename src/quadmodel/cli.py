@@ -17,7 +17,10 @@ Error paths print a one-line diagnostic on stderr and nothing on stdout.
 `sim` opens its CSV only after the run succeeded, so no exit 4 leaves
 one, and writes it as UTF-8 bytes, CSV_BLOCK_ROWS rows per %-format: the
 blocks a run on either plant yields and scans, which lowers peak RSS. A
---gains-out file is written before the run and removed if the run fails.
+--gains-out file is opened before the run without truncating it, so that an
+unwritable one fails first, and written after the CSV. A failed run removes
+it only if the run created it as a regular file, so a prior file stays as
+it was.
 
 Every command runs on the package's float core: `model` prints the nested
 lists of models.model_matrices, `analyze` reads them through
@@ -249,9 +252,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_file(path: str, what: str, chunks) -> None:
+def _write_file(path: str, what: str, chunks, mode: str = "wb") -> None:
     try:
-        with open(path, "wb") as fh:
+        with open(path, mode) as fh:
             fh.writelines(chunks)
     except OSError as e:
         raise InputError(f"cannot write {what} file {path!r}: {e}") from e
@@ -281,15 +284,18 @@ def cmd_sim(args) -> int:
     hover = hover_thrust_per_rotor(p)
     a, b = model_rows(p, args.dof)
     K = [[0.0] * len(state_labels) for _ in model_inputs]  # open loop: no feedback
+    gains = created = None
     if args.mode == "closed":
         try:
             K = design_rows(p, parse_pole_spec(args.poles, args.dof), args.dof)
             check_sampled_rows(a, b, K, cfg.dt)
         except PolePlacementError as e:  # the default poles are valid: the parameters are at fault
             raise InputError(str(e) if args.poles else DEFAULT_POLES_OUT_OF_RANGE) from e
-        if args.gains_out:
+        if args.gains_out:  # opened, not truncated, so that an unwritable file fails first
             doc = {"input_labels": list(model_inputs), "state_labels": list(state_labels), "K": K}
-            _write_file(args.gains_out, "gains", [(json.dumps(doc, indent=2) + "\n").encode()])
+            gains = [(json.dumps(doc, indent=2) + "\n").encode()]
+            created = not os.path.lexists(args.gains_out)
+            _write_file(args.gains_out, "gains", [], "ab")
 
     if nonlinear and args.mode == "open":  # K = 0: the law holds the forces
         held = parse_assignments(args.input, input_labels, "input", defaults=[hover] * 4)
@@ -307,10 +313,12 @@ def cmd_sim(args) -> int:
 
     try:  # list: the whole run, each block scanned, before the file opens
         _write_file(args.out, "output", csv_chunks(state_labels + input_labels, list(blocks)))
-    except BaseException:  # a failed run leaves no gains file; a device or symlink there stays
-        if args.gains_out and os.path.isfile(args.gains_out) and not os.path.islink(args.gains_out):
+    except BaseException:  # only a regular file that this run made goes; a prior one stays
+        if created and os.path.isfile(args.gains_out) and not os.path.islink(args.gains_out):
             os.remove(args.gains_out)
         raise
+    if gains:
+        _write_file(args.gains_out, "gains", gains)
     return EXIT_OK
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import attrgetter
 
 from . import _twin
 from ._record import Record
@@ -84,7 +85,14 @@ class UnstableSampledLoop(RuntimeError):
     for the dt asked for; refused before the run."""
 
 
+_RE_IM = attrgetter("real", "imag")
+
+
 def _validate_pole_set(name: str, poles: tuple) -> tuple[complex, ...]:
+    """The poles as complex numbers, each finite and strictly in the left
+    half-plane, the set closed under conjugation. A set with no nonzero
+    imaginary part is its own conjugate, so only a set with a complex pole
+    is sorted against its conjugates."""
     out = tuple(complex(s) for s in poles)
     for s in out:
         if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -93,8 +101,8 @@ def _validate_pole_set(name: str, poles: tuple) -> tuple[complex, ...]:
             raise UnstablePoleRequested(
                 f"{name} pole {s!r} is not strictly in the left half-plane"
             )
-    conjugates = sorted((s.conjugate() for s in out), key=lambda s: (s.real, s.imag))
-    if sorted(out, key=lambda s: (s.real, s.imag)) != conjugates:
+    if any(s.imag for s in out) and (sorted(out, key=_RE_IM)
+                                     != sorted((s.conjugate() for s in out), key=_RE_IM)):
         raise PolePlacementError(
             f"{name} poles must be closed under conjugation, got {poles!r}"
         )
@@ -130,16 +138,31 @@ def _monic(poles) -> list[float]:
     """Expand prod (s - p_i) into real monic coefficients, grouping the
     real and imaginary products as np.convolve's dot sums them, to the bit.
     Conjugate-closed inputs are required, so the imaginary residue is pure
-    rounding; it is checked and dropped."""
-    re, im = [1.0], [0.0]
-    for s in map(complex, poles):
+    rounding; it is checked and dropped.
+
+    A set with no nonzero imaginary part runs the real half alone,
+    re <- [x * (-p) + y]: the imaginary half stays +-0 there, and
+    subtracting its +-0 products leaves every coefficient's bits, since
+    none is -0.0. Where a coefficient overflows, the real half carries the
+    inf on as +-inf (NaN where it meets inf * 0 or inf - inf), where the
+    complex split's zero imaginary half would read 0 * inf = NaN."""
+    given = tuple(poles)
+    zs = tuple(map(complex, given))
+    re = [1.0]
+    if not any(s.imag for s in zs):
+        for s in zs:
+            t = -s.real
+            re = [x * t + y for x, y in zip([0.0] + re, re + [0.0])]
+        return re
+    im = [0.0]
+    for s in zs:
         tr, ti = -s.real, -s.imag
         lr, li, hr, hi = [0.0] + re, [0.0] + im, re + [0.0], im + [0.0]
         re, im = ([(xr * tr + yr) - xi * ti for xr, xi, yr in zip(lr, li, hr)],
                   [xr * ti + (xi * tr + yi) for xr, xi, yi in zip(lr, li, hi)])
     scale = max(1.0, max(map(abs, map(complex, re, im))))
     if any(abs(v) > 1e-9 * scale for v in im):
-        raise PolePlacementError(f"pole set {tuple(poles)!r} is not conjugate-closed")
+        raise PolePlacementError(f"pole set {given!r} is not conjugate-closed")
     return re
 
 

@@ -525,6 +525,23 @@ def test_a_failed_sim_removes_its_gains_file(capsys, params_file, tmp_path, argv
     assert not out_path.exists() and not gains_path.exists()
 
 
+def test_a_failed_sim_keeps_a_prior_gains_file(capsys, params_file, tmp_path):
+    # the gains path is opened before the run without truncating it, and a
+    # failed run removes only a file that it made: a prior file keeps its
+    # bytes, as a prior --out does; a run that succeeds then replaces it
+    gains_path = tmp_path / "g.json"
+    gains_path.write_bytes(b'{"old": 1}\n')
+    argv = ("sim", "--dof", "6", "--params", params_file, "--mode", "closed", "--plant",
+            "nonlinear", "--t-final", "1", "--out", str(tmp_path / "o.csv"),
+            "--gains-out", str(gains_path))
+    code, out, _ = run(capsys, *argv, "--x0", "phi_dot=1e308")
+    assert (code, out) == (4, "") and gains_path.read_bytes() == b'{"old": 1}\n'
+    code, out, err = run(capsys, *argv[:-1], str(tmp_path / "fresh.json"), "--x0", "z=0.5")
+    assert (code, out, err) == (0, "", "")
+    assert run(capsys, *argv, "--x0", "z=0.5")[0] == 0
+    assert gains_path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
 def test_a_failed_sim_keeps_a_gains_path_that_is_no_regular_file(capsys, params_file, tmp_path):
     # only a regular file is removed: a symlink at --gains-out stays, as a
     # device such as /dev/null does

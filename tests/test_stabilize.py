@@ -1,5 +1,6 @@
 import collections
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -100,11 +101,49 @@ def conjugate_closed_poles(draw):
 
 @settings(max_examples=2000, deadline=None)
 @given(poles=conjugate_closed_poles())
+@example(poles=(-2.0,) * 4)  # the desk set, on the real path
+@example(poles=(-0.5, -3.0, -70.0, -1e4))
+@example(poles=(-1e-200,) * 4)  # a^2 and on underflow to 0
 def test_pole_expansion_matches_convolve_to_the_bit(poles):
     # the gains, and so the --gains-out bytes, are these coefficients over
     # the input gain; numpy's convolve sums each coefficient with a complex
     # dot product, which the Python expansion groups the same way
     assert poles_to_monic(poles).tobytes() == _convolved_monic(poles).tobytes()
+
+
+def _split_monic(poles):
+    """The expansion of every pole set before real sets took the real half
+    alone: the real and imaginary halves of each pole, residue check and all."""
+    re, im = [1.0], [0.0]
+    for s in map(complex, poles):
+        tr, ti = -s.real, -s.imag
+        lr, li, hr, hi = [0.0] + re, [0.0] + im, re + [0.0], im + [0.0]
+        re, im = ([(xr * tr + yr) - xi * ti for xr, xi, yr in zip(lr, li, hr)],
+                  [xr * ti + (xi * tr + yi) for xr, xi, yi in zip(lr, li, hi)])
+    scale = max(1.0, max(map(abs, map(complex, re, im))))
+    if any(abs(v) > 1e-9 * scale for v in im):
+        raise PolePlacementError(f"pole set {tuple(poles)!r} is not conjugate-closed")
+    return re
+
+
+@settings(max_examples=1000, deadline=None)
+@given(poles=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+@example(poles=[-1e200] * 4)  # (s + 1e200)^4 overflows from s^2 on
+@example(poles=[-1e200] * 3 + [0.0])  # inf * -0.0 is NaN on both paths
+@example(poles=[0.0, 1.0, -0.0])
+@example(poles=[5e-324, -5e-324])
+def test_real_pole_expansion_matches_the_complex_split(poles):
+    # a real set takes the real half alone: each coefficient keeps the
+    # complex split's bits wherever that reads a number or +-inf; where the
+    # split's zero imaginary half meets an inf as 0 * inf = NaN, the real
+    # half reads +-inf, or NaN where its own product is inf * 0 or inf - inf
+    got, want = poles_to_monic(poles).tolist(), _split_monic(poles)
+    assert len(got) == len(want) == len(poles) + 1
+    for g, w in zip(got, want):
+        if math.isnan(w):
+            assert not math.isfinite(g)
+        else:
+            assert struct.pack("<d", g) == struct.pack("<d", w)
 
 
 def test_chain_gains_double_integrator():
@@ -143,6 +182,14 @@ def test_chain_rejects_zero_gain():
 def test_chain_rejects_unpaired_complex_pole():
     with pytest.raises(PolePlacementError):
         place_integrator_chain(2, 1.0, (-1 + 1j, -2.0))
+
+
+@pytest.mark.parametrize("make", [list, lambda poles: (p for p in poles)],
+                         ids=["list", "generator"])
+def test_an_unpaired_expansion_names_the_poles_as_given(make):
+    with pytest.raises(PolePlacementError) as info:
+        poles_to_monic(make((-1 + 1j, -2.0)))
+    assert str(info.value) == "pole set ((-1+1j), -2.0) is not conjugate-closed"
 
 
 def test_pole_spec_validates_at_construction():
