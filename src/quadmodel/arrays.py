@@ -28,7 +28,7 @@ from .rotor_forces import RotorForces, mixer_inverse_rows, mixer_rows
 from .simulate import (CSV_BLOCK_ROWS, NonFiniteDerivative, SimConfig, feedback_rows, linear_rows,
                        nonlinear_rows)
 from .stabilize import (PoleCountMismatch, PolePlacementError, PoleSpec, _chain_row, _monic,
-                        _validate_pole_set, check_sampled_rows, design_rows)
+                        _normal_gain, _validate_pole_set, check_sampled_rows, design_rows)
 
 # ---------------------------------------------------------------- linalg
 
@@ -404,8 +404,8 @@ def place_integrator_chain(chain_order: int, input_gain: float, poles) -> np.nda
     input_gain    scalar b in w_k' = b u; must be nonzero
     poles         chain_order desired poles, strictly left half-plane
 
-    Returns gains (k_1 ... k_k) on the chain states ordered most-integrated
-    first, so that u = -sum k_j w_j gives the target polynomial exactly.
+    Returns gains (k_1 ... k_k), chain states most-integrated first, so that
+    u = -sum k_j w_j gives the target polynomial exactly, or PolePlacementError.
     """
     poles = _validate_pole_set("chain", tuple(poles))
     if len(poles) != chain_order:
@@ -413,7 +413,7 @@ def place_integrator_chain(chain_order: int, input_gain: float, poles) -> np.nda
             f"chain of order {chain_order} needs exactly {chain_order} poles, "
             f"got {len(poles)}"
         )
-    return np.array(_chain_row(input_gain, poles))
+    return np.array(list(map(_normal_gain, _chain_row(input_gain, poles))))
 
 
 def design_6dof_gains(p: QuadParams, spec: PoleSpec) -> GainMatrix:

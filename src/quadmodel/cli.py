@@ -14,13 +14,10 @@ Exit codes are fixed for scriptability:
 
 Error paths print a one-line diagnostic on stderr and nothing on stdout.
 
-`sim` opens its CSV only after the run succeeded, so no exit 4 leaves
-one, and writes it as UTF-8 bytes, CSV_BLOCK_ROWS rows per %-format: the
-blocks a run on either plant yields and scans, which lowers peak RSS. A
---gains-out file is opened before the run without truncating it, so that an
-unwritable one fails first, and written after the CSV. A failed run removes
-it only if the run created it as a regular file, so a prior file stays as
-it was.
+`sim` writes each CSV_BLOCK_ROWS-row block a run yields and scans, as UTF-8
+bytes of one %-format, to an unnamed file beside --out, and copies it onto
+--out after the run: memory stays flat and no failed run opens a path. The
+--gains-out directory is probed before the run; its JSON is written after.
 
 Every command runs on the package's float core: `model` prints the nested
 lists of models.model_matrices, `analyze` reads them through
@@ -35,7 +32,9 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 
 from . import _twin
 from .models import CHAINS, LABELS, ROTOR_FORCE_LABELS, model_matrices, model_rows
@@ -252,12 +251,23 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_file(path: str, what: str, chunks, mode: str = "wb") -> None:
+def _staging_file(path: str, what: str):
     try:
-        with open(path, mode) as fh:
-            fh.writelines(chunks)
+        return tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
     except OSError as e:
         raise InputError(f"cannot write {what} file {path!r}: {e}") from e
+
+
+def _write_file(path: str, what: str, chunks) -> None:
+    """Stage chunks beside path, then copy them onto path as open(path, "wb") writes."""
+    with _staging_file(path, what) as staged:
+        try:
+            staged.writelines(chunks)
+            staged.seek(0)
+            with open(path, "wb") as fh:
+                shutil.copyfileobj(staged, fh)
+        except OSError as e:
+            raise InputError(f"cannot write {what} file {path!r}: {e}") from e
 
 
 def cmd_sim(args) -> int:
@@ -284,18 +294,14 @@ def cmd_sim(args) -> int:
     hover = hover_thrust_per_rotor(p)
     a, b = model_rows(p, args.dof)
     K = [[0.0] * len(state_labels) for _ in model_inputs]  # open loop: no feedback
-    gains = created = None
     if args.mode == "closed":
         try:
             K = design_rows(p, parse_pole_spec(args.poles, args.dof), args.dof)
             check_sampled_rows(a, b, K, cfg.dt)
         except PolePlacementError as e:  # the default poles are valid: the parameters are at fault
             raise InputError(str(e) if args.poles else DEFAULT_POLES_OUT_OF_RANGE) from e
-        if args.gains_out:  # opened, not truncated, so that an unwritable file fails first
-            doc = {"input_labels": list(model_inputs), "state_labels": list(state_labels), "K": K}
-            gains = [(json.dumps(doc, indent=2) + "\n").encode()]
-            created = not os.path.lexists(args.gains_out)
-            _write_file(args.gains_out, "gains", [], "ab")
+        if args.gains_out:  # so that a directory refusing a file fails before the run
+            _staging_file(args.gains_out, "gains").close()
 
     if nonlinear and args.mode == "open":  # K = 0: the law holds the forces
         held = parse_assignments(args.input, input_labels, "input", defaults=[hover] * 4)
@@ -311,14 +317,10 @@ def cmd_sim(args) -> int:
              else parse_assignments(args.input, input_labels, "input"))
         blocks = feedback_rows(a, b, K, r, x0, cfg)
 
-    try:  # list: the whole run, each block scanned, before the file opens
-        _write_file(args.out, "output", csv_chunks(state_labels + input_labels, list(blocks)))
-    except BaseException:  # only a regular file that this run made goes; a prior one stays
-        if created and os.path.isfile(args.gains_out) and not os.path.islink(args.gains_out):
-            os.remove(args.gains_out)
-        raise
-    if gains:
-        _write_file(args.gains_out, "gains", gains)
+    _write_file(args.out, "output", csv_chunks(state_labels + input_labels, blocks))
+    if args.gains_out:  # closed mode only
+        doc = {"input_labels": list(model_inputs), "state_labels": list(state_labels), "K": K}
+        _write_file(args.gains_out, "gains", [(json.dumps(doc, indent=2) + "\n").encode()])
     return EXIT_OK
 
 

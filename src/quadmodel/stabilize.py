@@ -205,11 +205,14 @@ def _chain_gains(p: QuadParams, spec: PoleSpec, chains, n: int) -> list[list[flo
         b = coupling / getattr(p, ch.inertia)
         for j, kj in enumerate(_chain_row(b, getattr(spec, ch.name))):
             # derivative coordinates scale the chain's (angle, rate) by its coupling
-            kj = kj * coupling if j >= len(s) - 2 else kj
-            if not _NORMAL_MIN <= abs(kj) < math.inf:
-                raise PolePlacementError(_OUT_OF_RANGE)
-            K[ch.input_row][s[j]] = kj
+            K[ch.input_row][s[j]] = _normal_gain(kj * coupling if j >= len(s) - 2 else kj)
     return K
+
+
+def _normal_gain(k: float) -> float:  # every true gain is a normal float64
+    if not _NORMAL_MIN <= abs(k) < math.inf:
+        raise PolePlacementError(_OUT_OF_RANGE)
+    return k
 
 
 def _check_closed_loop(a, b, K) -> None:

@@ -396,7 +396,8 @@ def test_runtime_blowup_is_exit_4(capsys, params_file, tmp_path):
 def test_first_non_finite_row_past_a_block_edge_is_exit_4(capsys, params_file, tmp_path, vx, t,
                                                          before):
     # x = 1e308 overflows at row 80 (block 2), 64 (its first row) or 63 (the
-    # last row of block 1); the scan of all blocks runs before the file opens
+    # last row of block 1); the blocks before it are staged, and --out is
+    # opened only after the last block
     out_path = tmp_path / "x.csv"
     if before is not None:
         out_path.write_bytes(before)
@@ -516,8 +517,8 @@ def test_sampled_loop_refusal_writes_no_gains(capsys, params_file, tmp_path, dof
 ], ids=["diverging-run", "unwritable-out"])
 def test_a_failed_sim_removes_its_gains_file(capsys, params_file, tmp_path, argv, out_name, code,
                                              message):
-    # the gains are written before the run, so that an unwritable --gains-out
-    # fails first; a run or a CSV write that then fails takes them back
+    # neither path is opened: the run fails, or the directory of --out
+    # refuses its staging file before the run
     out_path, gains_path = tmp_path / out_name, tmp_path / "g.json"
     got = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed", *argv,
               "--t-final", "1", "--out", str(out_path), "--gains-out", str(gains_path))
@@ -526,9 +527,8 @@ def test_a_failed_sim_removes_its_gains_file(capsys, params_file, tmp_path, argv
 
 
 def test_a_failed_sim_keeps_a_prior_gains_file(capsys, params_file, tmp_path):
-    # the gains path is opened before the run without truncating it, and a
-    # failed run removes only a file that it made: a prior file keeps its
-    # bytes, as a prior --out does; a run that succeeds then replaces it
+    # a failed run never opens the gains path: a prior file keeps its bytes,
+    # as a prior --out does; a run that succeeds then replaces it
     gains_path = tmp_path / "g.json"
     gains_path.write_bytes(b'{"old": 1}\n')
     argv = ("sim", "--dof", "6", "--params", params_file, "--mode", "closed", "--plant",
@@ -543,14 +543,50 @@ def test_a_failed_sim_keeps_a_prior_gains_file(capsys, params_file, tmp_path):
 
 
 def test_a_failed_sim_keeps_a_gains_path_that_is_no_regular_file(capsys, params_file, tmp_path):
-    # only a regular file is removed: a symlink at --gains-out stays, as a
-    # device such as /dev/null does
+    # a failed run creates nothing: a symlink at --gains-out stays, and its
+    # target is not made
     target, link = tmp_path / "target.json", tmp_path / "link.json"
     link.symlink_to(target)
     code, out, _ = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed",
                        "--plant", "nonlinear", "--x0", "phi_dot=1e308", "--t-final", "1",
                        "--out", str(tmp_path / "o.csv"), "--gains-out", str(link))
-    assert (code, out) == (4, "") and link.is_symlink() and target.is_file()
+    assert (code, out) == (4, "") and link.is_symlink() and not target.exists()
+
+
+def test_a_failed_sim_keeps_prior_files_and_leaves_no_staging_file(capsys, params_file,
+                                                                     tmp_path):
+    out_path, gains_path = tmp_path / "o.csv", tmp_path / "g.json"
+    out_path.write_bytes(b"old csv\n")
+    gains_path.write_bytes(b'{"old": 1}\n')
+    listing = sorted(tmp_path.iterdir())
+    code, out, _ = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed",
+                       "--plant", "nonlinear", "--x0", "phi_dot=1e308", "--t-final", "1",
+                       "--out", str(out_path), "--gains-out", str(gains_path))
+    assert (code, out) == (4, "")
+    assert out_path.read_bytes() == b"old csv\n" and gains_path.read_bytes() == b'{"old": 1}\n'
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+def test_sim_writes_through_a_symlink_at_out(capsys, params_file, tmp_path):
+    target, link, plain = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "plain.csv"
+    link.symlink_to(target)
+    listing = sorted([*tmp_path.iterdir(), plain, target])
+    argv = ("sim", "--dof", "6", "--params", params_file, "--mode", "closed", "--x0", "z=0.5",
+            "--t-final", "0.5", "--out")
+    assert run(capsys, *argv, str(link)) == (0, "", "")
+    assert run(capsys, *argv, str(plain)) == (0, "", "")
+    assert link.is_symlink() and target.read_bytes() == plain.read_bytes()
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+def test_an_unwritable_out_directory_fails_before_a_diverging_run(capsys, params_file, tmp_path):
+    # the run would exit 4 at t=0.8; the staging file beside --out is made first
+    listing = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file,
+                         "--x0", "x=1e308,vx=1e308", "--t-final", "1", "--dt", "0.01",
+                         "--out", str(tmp_path / "nodir" / "o.csv"))
+    assert (code, out) == (2, "") and err.startswith("quadmodel: error: cannot write output file ")
+    assert sorted(tmp_path.iterdir()) == listing
 
 
 def test_an_unwritable_gains_file_fails_before_the_run(capsys, params_file, tmp_path):

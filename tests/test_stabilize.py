@@ -184,6 +184,15 @@ def test_chain_rejects_unpaired_complex_pole():
         place_integrator_chain(2, 1.0, (-1 + 1j, -2.0))
 
 
+@pytest.mark.parametrize("order,pole", [(4, -1e200), (2, -1e-200)], ids=["overflow", "underflow"])
+def test_chain_refuses_gains_that_are_not_normal_floats(order, pole):
+    # (s + 1e200)^4 has coefficients beyond float64 (gains inf, inf, inf,
+    # 4e200), and (s + 1e-200)^2 a constant 1e-400 that rounds to 0: refused
+    # as every design refuses them
+    with pytest.raises(PolePlacementError, match="too extreme for float64"):
+        place_integrator_chain(order, 1.0, (pole,) * order)
+
+
 @pytest.mark.parametrize("make", [list, lambda poles: (p for p in poles)],
                          ids=["list", "generator"])
 def test_an_unpaired_expansion_names_the_poles_as_given(make):
