@@ -10,31 +10,27 @@ decays once the repeated-pole polynomial transients die off.
 Usage: python scripts/closed_loop_demo.py [--params FILE] [--pole -2.0]
        [--out traj.csv]
 
-Like `quadmodel sim`, it refuses poles whose gains or closed loop leave
-float64 (exit 2, such as -1e80) and a sampled loop that is unstable at its
-1 ms step (exit 4, such as -3000 or -1e60) with one line on stderr, before
-it prints or writes anything.
+It runs on the float core, as `quadmodel sim --dof 6 --mode closed` does,
+and its --out is that command's CSV for the same start, poles and horizon.
+Like sim, it refuses poles whose gains or closed loop leave float64 (exit 2,
+such as -1e80) and a sampled loop that is unstable at its 1 ms step (exit 4,
+such as -3000 or -1e60) with one line on stderr, before it prints or writes
+anything.
 """
 
 import argparse
+import math
 
-import numpy as np
-
-from quadmodel import (
-    ParameterError,
-    PolePlacementError,
-    PoleSpec,
-    SimConfig,
-    UnstableSampledLoop,
-    analyze,
-    build_6dof,
-    check_sampled_loop,
-    design_6dof_gains,
-    simulate_feedback,
-)
-from quadmodel.cli import InputError, load_params, write_trajectory_csv
+from quadmodel.analysis import analyze_rows
+from quadmodel.cli import InputError, csv_chunks, load_params
+from quadmodel.models import LABELS, model_matrices
+from quadmodel.params import ParameterError
+from quadmodel.simulate import SimConfig, feedback_rows
+from quadmodel.stabilize import (PolePlacementError, PoleSpec, UnstableSampledLoop,
+                                 check_sampled_rows, design_rows)
 
 DT = 0.001  # s, the step of the run and of its sampled-loop check
+WIDTH = 17  # a row: t, 12 states, 4 inputs
 
 
 def main():
@@ -50,10 +46,10 @@ def main():
         p = load_params(args.params)
     except (InputError, ParameterError) as e:
         ap.error(str(e))
-    model = build_6dof(p)
+    a, b, c, _ = model_matrices(p, 6)
     try:
-        gains = design_6dof_gains(p, PoleSpec.uniform_6dof(args.pole))
-        check_sampled_loop(model, gains.K, DT)
+        K = design_rows(p, PoleSpec.uniform_6dof(args.pole), 6)
+        check_sampled_rows(a, b, K, DT)
     except PolePlacementError as e:
         ap.exit(2, f"{ap.prog}: error: {e}\n")
     except UnstableSampledLoop:
@@ -61,33 +57,32 @@ def main():
         ap.exit(4, f"{ap.prog}: simulation refused: the sampled closed loop Phi - Gamma K is "
                    f"unstable at the demo's fixed {DT * 1e3:g} ms step; use a slower --pole\n")
 
-    report = analyze(model)
+    report = analyze_rows(a, b, c)
     print(f"open loop: stability={report.stability_class}, "
           f"controllability rank {report.controllability_rank}/12")
 
-    x0 = np.zeros(12)
+    x0 = [0.0] * 12
     x0[0] = x0[1] = x0[2] = 0.5   # half a metre off in every axis
     x0[6] = x0[7] = 0.05          # three degrees of tilt
-    traj = simulate_feedback(model, x0, gains.K, np.zeros(4),
-                             SimConfig(t_final=args.t_final, dt=DT))
+    blocks = list(feedback_rows(a, b, K, [0.0] * 4, x0, SimConfig(t_final=args.t_final, dt=DT)))
+    rows = [(block[k], math.hypot(*block[k + 1:k + 13]))
+            for block in blocks for k in range(0, len(block), WIDTH)]
 
-    n0 = np.linalg.norm(x0)
+    n0 = math.hypot(*x0)
     print(f"\nclosed loop, all poles at {args.pole}:")
     print(f"{'t [s]':>6}  {'|x|/|x0|':>10}")
-    norms = np.linalg.norm(traj.states, axis=1) / n0
-    for t in np.arange(0.0, args.t_final + 1e-9, 1.0):
-        i = int(round(t / DT))
-        print(f"{t:6.1f}  {norms[i]:10.3e}")
+    for t in range(math.ceil(args.t_final + 1e-9)):
+        print(f"{t:6.1f}  {rows[round(t / DT)][1] / n0:10.3e}")
 
-    below = np.nonzero(norms < 1e-3)[0]
-    if below.size:
-        print(f"\nnorm first drops below 1e-3 of initial at t = {traj.times[below[0]]:.3f} s")
+    below = next((t for t, norm in rows if norm / n0 < 1e-3), None)
+    if below is not None:
+        print(f"\nnorm first drops below 1e-3 of initial at t = {below:.3f} s")
     else:
         print("\nnorm never drops below 1e-3 of initial on this horizon")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_trajectory_csv(traj, fh)
+        with open(args.out, "wb") as fh:
+            fh.writelines(csv_chunks(LABELS[6][0] + LABELS[6][1], blocks))
         print(f"wrote {args.out}")
 
 

@@ -5,39 +5,31 @@ drifts from the linear model over one second of open-loop fall.
 Prints a table of final x-positions and relative divergence; the knee
 around 0.3-0.5 rad is the practical edge of the small-angle regime.
 
+Both legs are `quadmodel sim --dof 6 --mode open` runs on the float core:
+the linear model under u = 0, the nonlinear plant under held hover thrust.
+
 Usage: python scripts/linearization_sweep.py [--params FILE] [--out FILE.csv]
 """
 
 import argparse
 import math
 
-import numpy as np
-
-from quadmodel import (
-    ParameterError,
-    RotorForces,
-    SimConfig,
-    build_6dof,
-    hover_thrust_per_rotor,
-    simulate_feedback,
-    simulate_nonlinear,
-)
 from quadmodel.cli import InputError, load_params
+from quadmodel.models import model_rows
+from quadmodel.params import ParameterError, hover_thrust_per_rotor
+from quadmodel.simulate import SimConfig, feedback_law, feedback_rows, nonlinear_rows
 
 ANGLES = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
 
 
 def run(p, theta0, dt=1e-4, t_final=1.0):
-    model = build_6dof(p)
-    x0 = np.zeros(12)
+    x0 = [0.0] * 12
     x0[7] = theta0
-    lin = simulate_feedback(model, x0, np.zeros((4, 12)), np.zeros(4),
-                            SimConfig(t_final=t_final, dt=dt))
-    h = hover_thrust_per_rotor(p)
-    hover = RotorForces(h, h, h, h)
-    cfg = SimConfig(t_final=t_final, dt=dt, integrator="rk4", plant="nonlinear_6dof")
-    nl = simulate_nonlinear(p, x0, lambda t, x: hover, cfg)
-    return lin.states[-1, 0], nl.states[-1, 0]
+    K0 = [[0.0] * 12 for _ in range(4)]  # open loop: no feedback
+    cfg = SimConfig(t_final=t_final, dt=dt)
+    *_, lin = feedback_rows(*model_rows(p, 6), K0, [0.0] * 4, x0, cfg)
+    *_, nl = nonlinear_rows(p, feedback_law(K0, [hover_thrust_per_rotor(p)] * 4), x0, cfg)
+    return lin[-16], nl[-16]  # x in the last block's last row: t, x (12 states), u (4 inputs)
 
 
 def main():

@@ -16,8 +16,8 @@ Error paths print a one-line diagnostic on stderr and nothing on stdout.
 
 `sim` writes each CSV_BLOCK_ROWS-row block a run yields and scans, as UTF-8
 bytes of one %-format, to an unnamed file beside --out, and copies it onto
---out after the run: memory stays flat and no failed run opens a path. The
---gains-out directory is probed before the run; its JSON is written after.
+--out after the run: memory stays flat and no failed run opens a path. Both
+--out and --gains-out are probed before the run; the JSON is written after.
 
 Every command runs on the package's float core: `model` prints the nested
 lists of models.model_matrices, `analyze` reads them through
@@ -252,7 +252,14 @@ def cmd_analyze(args) -> int:
 
 
 def _staging_file(path: str, what: str):
+    """An unnamed file beside path, made before the run, so that a path the
+    run could not be written to fails first. A directory at path, or a
+    regular file that cannot be opened for writing, fails here; the test
+    neither creates nor truncates, and opens no FIFO (its reader would read
+    EOF) or device."""
     try:
+        if os.path.isfile(path) or os.path.isdir(path):  # a directory raises EISDIR
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
         return tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
     except OSError as e:
         raise InputError(f"cannot write {what} file {path!r}: {e}") from e
@@ -300,7 +307,7 @@ def cmd_sim(args) -> int:
             check_sampled_rows(a, b, K, cfg.dt)
         except PolePlacementError as e:  # the default poles are valid: the parameters are at fault
             raise InputError(str(e) if args.poles else DEFAULT_POLES_OUT_OF_RANGE) from e
-        if args.gains_out:  # so that a directory refusing a file fails before the run
+        if args.gains_out:  # so that a gains path that refuses the file fails before the run
             _staging_file(args.gains_out, "gains").close()
 
     if nonlinear and args.mode == "open":  # K = 0: the law holds the forces

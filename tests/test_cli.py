@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import select
+import subprocess
 import sys
 from pathlib import Path
 
@@ -596,6 +599,51 @@ def test_an_unwritable_gains_file_fails_before_the_run(capsys, params_file, tmp_
                          "--gains-out", str(tmp_path / "nodir" / "g.json"))
     assert (code, out) == (2, "") and err.startswith("quadmodel: error: cannot write gains file ")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("out_name,gains_name,what", [("adir", "g.json", "output"),
+                                                      ("o.csv", "adir", "gains")])
+def test_a_directory_at_either_path_fails_before_a_diverging_run(capsys, params_file, tmp_path,
+                                                                  out_name, gains_name, what):
+    # the run would exit 4 at t=0; the directory is refused first
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    listing = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed",
+                         "--plant", "nonlinear", "--x0", "phi_dot=1e308", "--t-final", "1",
+                         "--out", str(tmp_path / out_name),
+                         "--gains-out", str(tmp_path / gains_name))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"quadmodel: error: cannot write {what} file {str(adir)!r}: ")
+    assert sorted(tmp_path.iterdir()) == listing and not any(adir.iterdir())
+
+
+def test_sim_writes_a_fifo_at_out_as_a_regular_file(capsys, params_file, tmp_path):
+    # the probe before the run opens no FIFO: a writer that came and went
+    # would hang up on the reader (POLLHUP) before the CSV
+    fifo, plain = tmp_path / "o.fifo", tmp_path / "plain.csv"
+    os.mkfifo(fifo)
+    argv = ["sim", "--dof", "6", "--params", params_file, "--mode", "closed", "--x0", "z=0.5",
+            "--t-final", "0.5", "--out"]
+    assert run(capsys, *argv, str(plain)) == (0, "", "")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fd, got = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK), b""  # a reader before the run
+    sim = subprocess.Popen([sys.executable, "-m", "quadmodel", *argv, str(fifo)], env=env,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        while poller.poll(60_000) and (chunk := os.read(fd, 1 << 16)):
+            got += chunk
+    finally:
+        os.close(fd)
+        try:
+            code, streams = sim.wait(timeout=60), sim.communicate()
+        finally:
+            sim.kill()
+    assert (code, streams, got) == (0, (b"", b""), plain.read_bytes())
 
 
 @pytest.mark.parametrize("mode,x0", [("closed", "z=0.5,theta=0.05"),

@@ -1,3 +1,5 @@
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -5,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
+from quadmodel.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+PARAMS = str(ROOT / "params.example.json")
+
+
+def run_script(name, *argv, cwd):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), "--params", PARAMS,
+                           *argv], capture_output=True, text=True, env=ENV, cwd=cwd, check=False)
 
 
 @pytest.mark.parametrize("pole,code,line", [
@@ -20,14 +32,36 @@ ROOT = Path(__file__).resolve().parents[1]
                  id="beyond-float64"),
 ])
 def test_closed_loop_demo_refuses_as_sim_does(tmp_path, pole, code, line):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = tmp_path / "demo.csv"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "closed_loop_demo.py"),
-         "--params", str(ROOT / "params.example.json"), f"--pole={pole}",
-         "--t-final", "1", "--out", str(out)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
-    )
+    proc = run_script("closed_loop_demo.py", f"--pole={pole}", "--t-final", "1", "--out", str(out),
+                      cwd=tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line + "\n")
     assert not out.exists()
+
+
+def test_closed_loop_demo_writes_the_csv_of_sim(tmp_path):
+    # the demo's start, poles and horizon as sim flags: the same run, the same bytes
+    demo = run_script("closed_loop_demo.py", "--out", str(tmp_path / "demo.csv"), cwd=tmp_path)
+    assert (demo.returncode, demo.stderr) == (0, "")
+    # criterion 6's 1e-3 crossing of the (s+2)^n closed form, at 6.922 s
+    assert "\nnorm first drops below 1e-3 of initial at t = 6.922 s\n" in demo.stdout
+    assert main(["sim", "--dof", "6", "--params", PARAMS, "--mode", "closed", "--x0",
+                 "x=0.5,y=0.5,z=0.5,phi=0.05,theta=0.05", "--t-final", "10",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    assert (tmp_path / "demo.csv").read_bytes() == (tmp_path / "sim.csv").read_bytes()
+
+
+def test_linearization_sweep_linear_leg_is_the_closed_form_fall(tmp_path):
+    # from hover at pitch theta0 the linear model's x' = v, v' = -g theta0
+    # holds theta0, so x(1 s) = -g theta0 / 2; the nonlinear plant falls short
+    # of that by more the larger theta0 is
+    proc = run_script("linearization_sweep.py", "--out", str(tmp_path / "sweep.csv"), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(tmp_path / "sweep.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    g = json.loads(Path(PARAMS).read_text(encoding="utf-8"))["g"]
+    for row in rows:
+        theta0, x_linear = float(row["theta0"]), float(row["x_linear"])
+        assert x_linear == pytest.approx(-g * theta0 / 2, rel=1e-12, abs=0)
+    divergence = [float(row["relative_divergence"]) for row in rows]
+    assert all(a < b for a, b in zip(divergence, divergence[1:]))
