@@ -12,9 +12,10 @@ Usage: python scripts/closed_loop_demo.py [--params FILE] [--pole -2.0]
 
 It runs on the float core, as `quadmodel sim --dof 6 --mode closed` does,
 and its --out is that command's CSV for the same start, poles and horizon.
-Like sim, it refuses poles whose gains or closed loop leave float64 (exit 2,
-such as -1e80) and a sampled loop that is unstable at its 1 ms step (exit 4,
-such as -3000 or -1e60) with one line on stderr, before it prints or writes
+Like sim, it refuses a --t-final below its 1 ms step or beyond sim's step
+guard and poles whose gains or closed loop leave float64 (exit 2, such as
+-1e80), and a sampled loop that is unstable at its 1 ms step (exit 4, such
+as -3000 or -1e60), with one line on stderr, before it prints or writes
 anything.
 """
 
@@ -26,8 +27,7 @@ from quadmodel.cli import InputError, csv_chunks, load_params
 from quadmodel.models import LABELS, model_matrices
 from quadmodel.params import ParameterError
 from quadmodel.simulate import SimConfig, feedback_rows
-from quadmodel.stabilize import (PolePlacementError, PoleSpec, UnstableSampledLoop,
-                                 check_sampled_rows, design_rows)
+from quadmodel.stabilize import PoleSpec, UnstableSampledLoop, check_sampled_rows, design_rows
 
 DT = 0.001  # s, the step of the run and of its sampled-loop check
 WIDTH = 17  # a row: t, 12 states, 4 inputs
@@ -48,9 +48,10 @@ def main():
         ap.error(str(e))
     a, b, c, _ = model_matrices(p, 6)
     try:
+        cfg = SimConfig(t_final=args.t_final, dt=DT)
         K = design_rows(p, PoleSpec.uniform_6dof(args.pole), 6)
         check_sampled_rows(a, b, K, DT)
-    except PolePlacementError as e:
+    except ValueError as e:  # a horizon SimConfig refuses, or a PolePlacementError
         ap.exit(2, f"{ap.prog}: error: {e}\n")
     except UnstableSampledLoop:
         # the demo's step is fixed, so sim's advice to pass a smaller --dt does not apply
@@ -64,7 +65,7 @@ def main():
     x0 = [0.0] * 12
     x0[0] = x0[1] = x0[2] = 0.5   # half a metre off in every axis
     x0[6] = x0[7] = 0.05          # three degrees of tilt
-    blocks = list(feedback_rows(a, b, K, [0.0] * 4, x0, SimConfig(t_final=args.t_final, dt=DT)))
+    blocks = list(feedback_rows(a, b, K, [0.0] * 4, x0, cfg))
     rows = [(block[k], math.hypot(*block[k + 1:k + 13]))
             for block in blocks for k in range(0, len(block), WIDTH)]
 

@@ -7,19 +7,20 @@ every CLI command runs on it alone. The numpy face (quadmodel.arrays)
 holds the records and functions on float64 arrays, for library callers.
 
 Names resolve lazily (PEP 562), here and in each core module: a name is
-imported from its module on first access and then cached, and a core
-module's numpy twin (linalg.StateSpaceModel, simulate.simulate, ...) loads
-the numpy face only when it is first asked for. So `import quadmodel` and
-every CLI command import no numpy. `quadmodel.simulate` (and `from quadmodel
-import simulate`) is the function simulate, as an eager package bound it,
-even after its module is imported; `importlib.import_module(
+imported from its module on first access and then cached. A name that
+_EXPORTS homes in a core module that does not define it is its numpy twin
+(linalg.StateSpaceModel, simulate.simulate, ...), which the module loads
+from the numpy face only when it is first asked for. So `import quadmodel`
+and every CLI command import no numpy. `quadmodel.simulate` (and `from
+quadmodel import simulate`) is the function simulate, as an eager package
+bound it, even after its module is imported; `importlib.import_module(
 "quadmodel.simulate")` gives the module.
 """
 
 import sys
 from importlib import import_module
 
-# each line: a module, then names it defines (a module may take more lines)
+# each line: a module, then names it exports (a module may take more lines)
 _EXPORTS = """
 analysis MARGINAL_OR_UNSTABLE STRICTLY_STABLE AnalysisReport analyze controllability_matrix
 analysis controllability_rank observability_matrix observability_rank
@@ -37,6 +38,7 @@ simulate nonlinear_deriv simulate simulate_feedback simulate_nonlinear zoh_discr
 stabilize GainMatrix InternalStabilityCheckFailed PoleCountMismatch PolePlacementError PoleSpec
 stabilize UnstablePoleRequested UnstableSampledLoop ZeroInputGain check_sampled_loop
 stabilize design_3dof_gains design_6dof_gains place_integrator_chain poles_to_monic
+cli write_trajectory_csv
 """
 _HOME = {name: line.split()[0] for line in _EXPORTS.split("\n") for name in line.split()[1:]}
 _MODULES = set(_HOME.values())
@@ -57,10 +59,10 @@ def __dir__():
     return sorted(set(globals()) | set(_HOME) | _MODULES)
 
 
-def _twin(module: str, name: str, twins: str):
-    """The __getattr__ of a core module: `name`, if it is one of its numpy
-    twins (space-separated), from the numpy face, cached in the module."""
-    if name not in twins.split():
+def _twin(module: str, name: str):
+    """The __getattr__ of a core module: a name that _EXPORTS homes in it,
+    which it does not define, from the numpy face, cached in the module."""
+    if _HOME.get(name) != module.rpartition(".")[2]:
         raise AttributeError(f"module {module!r} has no attribute {name!r}")
     value = getattr(import_module(f"{__name__}.arrays"), name)
     setattr(sys.modules[module], name, value)

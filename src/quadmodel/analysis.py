@@ -2,9 +2,7 @@
 each decided exactly for the model as stored, on the integers of linalg's
 kernel, at any scale of its entries. analyze_rows converts A to integers
 once and reads both ranks, the polynomial and the nilpotency index from
-it, without numpy, for the CLI. The functions that take a
-StateSpaceModel (analyze wraps analyze_rows) read its arrays, and only
-the Kalman matrices build arrays of their own.
+it, without numpy, for the CLI.
 
 Stability is reported as a binary class: strictly stable (Hurwitz) or not.
 Separating "marginal" from "unstable" for repeated eigenvalues at the
@@ -14,6 +12,7 @@ the claim that matters is "not asymptotically stable".
 
 from __future__ import annotations
 
+from . import _twin
 from ._record import Record
 from .linalg import (_nilpotency_ints, _poly_ints, int_rows, is_hurwitz_ints, rounded_poly,
                      row_times, span_add)
@@ -32,24 +31,6 @@ class AnalysisReport(Record):
     nilpotency_index: int | None
 
 
-def controllability_matrix(m: StateSpaceModel) -> np.ndarray:
-    """Kalman matrix [B, AB, ..., A^(n-1) B], shape n x (n*p)."""
-    import numpy as np
-    blocks = [m.B]
-    while len(blocks) < m.n:
-        blocks.append(m.A @ blocks[-1])
-    return np.hstack(blocks)
-
-
-def observability_matrix(m: StateSpaceModel) -> np.ndarray:
-    """Stacked [C; CA; ...; C A^(n-1)], shape (n*q) x n."""
-    import numpy as np
-    blocks = [m.C]
-    while len(blocks) < m.n:
-        blocks.append(blocks[-1] @ m.A)
-    return np.vstack(blocks)
-
-
 def _kalman_rank(a, b) -> int:
     """Rank of the span of b, b a, b a^2, ..., exactly, for integer rows as
     int_rows gives them: block k is a positive multiple of (A^k B)^T on the
@@ -60,19 +41,6 @@ def _kalman_rank(a, b) -> int:
     while sum(span_add(basis, row) for row in b) and len(basis) < len(a):
         b = [row_times(row, a, 0).items() for row in b]
     return len(basis)
-
-
-def controllability_rank(m: StateSpaceModel) -> int:
-    return _kalman_rank(int_rows(m.A.T.tolist())[0], int_rows(m.B.T.tolist())[0])
-
-
-def observability_rank(m: StateSpaceModel) -> int:
-    return _kalman_rank(int_rows(m.A.tolist())[0], int_rows(m.C.tolist())[0])
-
-
-def analyze(m: StateSpaceModel) -> AnalysisReport:
-    """Full structural report on one model: analyze_rows of its matrices."""
-    return analyze_rows(m.A.tolist(), m.B.tolist(), m.C.tolist())
 
 
 def analyze_rows(a, b, c) -> AnalysisReport:
@@ -96,3 +64,7 @@ def analyze_rows(a, b, c) -> AnalysisReport:
         stability_class=STRICTLY_STABLE if is_hurwitz_ints(poly) else MARGINAL_OR_UNSTABLE,
         nilpotency_index=_nilpotency_ints(a),
     )
+
+
+def __getattr__(name):  # a numpy twin, in quadmodel.arrays
+    return _twin(__name__, name)

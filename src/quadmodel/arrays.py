@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+try:
+    import numpy as np
+except ModuleNotFoundError as e:  # numpy is the optional extra "arrays"
+    raise ModuleNotFoundError(f"{e}: pip install 'quadmodel[arrays]'", name=e.name) from None
 
 from ._record import Record
+from .analysis import AnalysisReport, _kalman_rank, analyze_rows
 from .linalg import (DimensionMismatch, NotSquare, _as_ints, _nilpotency_ints, char_poly_ints,
                      expm_rows, int_rows, is_hurwitz_ints, rounded_poly)
 from .models import DOF6_STATE_LABELS, LABELS, ROTOR_FORCE_LABELS, model_matrices
@@ -193,6 +197,38 @@ def build_6dof(p: QuadParams) -> StateSpaceModel:
     """Full model: positions, velocities, attitude, and rates, with the
     gravity-tilt coupling x_ddot = -g*theta and y_ddot = +g*phi."""
     return StateSpaceModel(*model_matrices(validate(p), 6), *LABELS[6])
+
+
+# ---------------------------------------------------------------- analysis
+
+
+def controllability_matrix(m: StateSpaceModel) -> np.ndarray:
+    """Kalman matrix [B, AB, ..., A^(n-1) B], shape n x (n*p)."""
+    blocks = [m.B]
+    while len(blocks) < m.n:
+        blocks.append(m.A @ blocks[-1])
+    return np.hstack(blocks)
+
+
+def observability_matrix(m: StateSpaceModel) -> np.ndarray:
+    """Stacked [C; CA; ...; C A^(n-1)], shape (n*q) x n."""
+    blocks = [m.C]
+    while len(blocks) < m.n:
+        blocks.append(blocks[-1] @ m.A)
+    return np.vstack(blocks)
+
+
+def controllability_rank(m: StateSpaceModel) -> int:
+    return _kalman_rank(int_rows(m.A.T.tolist())[0], int_rows(m.B.T.tolist())[0])
+
+
+def observability_rank(m: StateSpaceModel) -> int:
+    return _kalman_rank(int_rows(m.A.tolist())[0], int_rows(m.C.tolist())[0])
+
+
+def analyze(m: StateSpaceModel) -> AnalysisReport:
+    """Full structural report on one model: analyze_rows of its matrices."""
+    return analyze_rows(m.A.tolist(), m.B.tolist(), m.C.tolist())
 
 
 # ---------------------------------------------------------------- rotor_forces

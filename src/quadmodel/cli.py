@@ -22,8 +22,7 @@ bytes of one %-format, to an unnamed file beside --out, and copies it onto
 Every command runs on the package's float core: `model` prints the nested
 lists of models.model_matrices, `analyze` reads them through
 analysis.analyze_rows, and `sim` runs both plants on Python floats. None
-imports numpy or the numpy face, quadmodel.arrays, where this module's
-write_trajectory_csv lives and resolves here lazily.
+imports numpy or the numpy face, quadmodel.arrays.
 """
 
 from __future__ import annotations
@@ -253,12 +252,12 @@ def cmd_analyze(args) -> int:
 
 def _staging_file(path: str, what: str):
     """An unnamed file beside path, made before the run, so that a path the
-    run could not be written to fails first. A directory at path, or a
-    regular file that cannot be opened for writing, fails here; the test
-    neither creates nor truncates, and opens no FIFO (its reader would read
-    EOF) or device."""
+    run could not be written to fails first. An empty path, a directory at
+    path, or a regular file that cannot be opened for writing, fails here;
+    the test neither creates nor truncates, and opens no FIFO (its reader
+    would read EOF) or device."""
     try:
-        if os.path.isfile(path) or os.path.isdir(path):  # a directory raises EISDIR
+        if not path or os.path.isfile(path) or os.path.isdir(path):  # "" ENOENT, a dir EISDIR
             os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
         return tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
     except OSError as e:
@@ -284,7 +283,7 @@ def cmd_sim(args) -> int:
         raise InputError("the nonlinear plant is only available with --dof 6")
     if args.mode == "open" and args.poles:
         raise InputError("--poles only applies to --mode closed")
-    if args.mode == "open" and args.gains_out:
+    if args.mode == "open" and args.gains_out is not None:
         raise InputError("--gains-out only applies to --mode closed")
     if args.mode == "closed" and args.input:
         raise InputError("--input only applies to --mode open (closed mode drives u = r - K x)")
@@ -307,7 +306,7 @@ def cmd_sim(args) -> int:
             check_sampled_rows(a, b, K, cfg.dt)
         except PolePlacementError as e:  # the default poles are valid: the parameters are at fault
             raise InputError(str(e) if args.poles else DEFAULT_POLES_OUT_OF_RANGE) from e
-        if args.gains_out:  # so that a gains path that refuses the file fails before the run
+        if args.gains_out is not None:  # a gains path that refuses the file fails before the run
             _staging_file(args.gains_out, "gains").close()
 
     if nonlinear and args.mode == "open":  # K = 0: the law holds the forces
@@ -325,7 +324,7 @@ def cmd_sim(args) -> int:
         blocks = feedback_rows(a, b, K, r, x0, cfg)
 
     _write_file(args.out, "output", csv_chunks(state_labels + input_labels, blocks))
-    if args.gains_out:  # closed mode only
+    if args.gains_out is not None:  # closed mode only
         doc = {"input_labels": list(model_inputs), "state_labels": list(state_labels), "K": K}
         _write_file(args.gains_out, "gains", [(json.dumps(doc, indent=2) + "\n").encode()])
     return EXIT_OK
@@ -432,5 +431,5 @@ def entry() -> None:
     sys.exit(main())
 
 
-def __getattr__(name):  # the numpy twin, in quadmodel.arrays
-    return _twin(__name__, name, "write_trajectory_csv")
+def __getattr__(name):  # a numpy twin, in quadmodel.arrays
+    return _twin(__name__, name)

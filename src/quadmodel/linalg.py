@@ -11,9 +11,6 @@ integer rows, so a caller converts a matrix once and reads every answer
 from it; char_poly_ints wraps them.
 No general eigensolver is used: the open-loop models are nilpotent, and a
 closed loop is checked chain block by chain block (_poly_ints + is_hurwitz_ints).
-The numpy twins (StateSpaceModel, char_poly, expm_nilpotent, is_hurwitz,
-nilpotency_index, and rank, which is numerical, with a tolerance, and which
-the package does not call) live in quadmodel.arrays and resolve here lazily.
 """
 
 from __future__ import annotations
@@ -209,6 +206,5 @@ def is_hurwitz_ints(c: list[int]) -> bool:
     return prev[0] > 0
 
 
-def __getattr__(name):  # the numpy twins, in quadmodel.arrays
-    return _twin(__name__, name, "StateSpaceModel char_poly expm_nilpotent is_hurwitz "
-                                 "nilpotency_index rank")
+def __getattr__(name):  # a numpy twin, in quadmodel.arrays
+    return _twin(__name__, name)

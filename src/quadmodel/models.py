@@ -19,8 +19,7 @@ Both models are decoupled chains of integrators behind the rotor mixer,
 and CHAINS_6DOF / CHAINS_3DOF state that structure once: the builders here,
 the gain designs and the CLI pole parsing all read it. model_rows and
 model_matrices give the matrices as nested lists, without numpy, for the
-CLI; build_3dof and build_6dof, which wrap them in a StateSpaceModel, live
-in quadmodel.arrays and resolve here lazily.
+CLI.
 """
 
 from __future__ import annotations
@@ -120,5 +119,5 @@ def model_matrices(p: QuadParams, dof: int) -> tuple[list, list, list, list]:
     return (*model_rows(p, dof), C, D)
 
 
-def __getattr__(name):  # the numpy twins, in quadmodel.arrays
-    return _twin(__name__, name, "build_3dof build_6dof")
+def __getattr__(name):  # a numpy twin, in quadmodel.arrays
+    return _twin(__name__, name)

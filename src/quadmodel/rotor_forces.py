@@ -1,7 +1,5 @@
 """Rotor thrust algebra: the 4x4 mixer from rotor forces to net thrust and
 body torques, its closed-form inverse, and the scalar mix/demix pair.
-The mixer's float64 arrays, mixer and mixer_inverse, live in
-quadmodel.arrays and resolve here lazily.
 
 Conventions (body frame): rotors 1 and 3 sit on the x-axis and spin
 clockwise; rotors 2 and 4 sit on the y-axis and spin counter-clockwise.
@@ -117,5 +115,5 @@ def is_physical(f: RotorForces) -> bool:
     return f.f1 >= 0.0 and f.f2 >= 0.0 and f.f3 >= 0.0 and f.f4 >= 0.0
 
 
-def __getattr__(name):  # the numpy twins, in quadmodel.arrays
-    return _twin(__name__, name, "mixer mixer_inverse")
+def __getattr__(name):  # a numpy twin, in quadmodel.arrays
+    return _twin(__name__, name)

@@ -19,11 +19,6 @@ survive + and *, so nothing is lost by waiting). The nonlinear plant hands
 the state to its forces, so it checks every step and raises
 NonFiniteDerivative at the step that overflowed, an infinite angle included.
 The CLI maps both to exit code 4.
-
-The numpy twins (Trajectory, simulate, simulate_feedback,
-simulate_nonlinear, zoh_discretize, zoh_step, rk4_step and
-nonlinear_deriv) live in quadmodel.arrays and resolve here lazily;
-rk4_step and nonlinear_deriv are the reference _rk4_held_forces is pinned to.
 """
 
 from __future__ import annotations
@@ -260,6 +255,5 @@ def _rk4_held_forces(p: QuadParams, x, forces, dt: float) -> tuple[float, ...]:
     )
 
 
-def __getattr__(name):  # the numpy twins, in quadmodel.arrays
-    return _twin(__name__, name, "Trajectory nonlinear_deriv rk4_step simulate simulate_feedback "
-                                 "simulate_nonlinear zoh_discretize zoh_step")
+def __getattr__(name):  # a numpy twin, in quadmodel.arrays
+    return _twin(__name__, name)

@@ -31,10 +31,7 @@ PolePlacementError, not reported as a defect; a sampled loop that leaves
 float64 is unstable at its dt, and a dt that is not finite and > 0 is a
 ValueError.
 The gains and the checks run on Python floats and ints without numpy
-(design_rows, check_sampled_rows). Their numpy twins (GainMatrix,
-design_6dof_gains, design_3dof_gains, check_sampled_loop,
-place_integrator_chain and poles_to_monic) live in quadmodel.arrays and
-resolve here lazily.
+(design_rows, check_sampled_rows).
 """
 
 from __future__ import annotations
@@ -304,6 +301,5 @@ def _chains_stable(a, b, K, sampled: bool) -> bool:
     return True
 
 
-def __getattr__(name):  # the numpy twins, in quadmodel.arrays
-    return _twin(__name__, name, "GainMatrix check_sampled_loop design_3dof_gains "
-                                 "design_6dof_gains place_integrator_chain poles_to_monic")
+def __getattr__(name):  # a numpy twin, in quadmodel.arrays
+    return _twin(__name__, name)

@@ -618,6 +618,25 @@ def test_a_directory_at_either_path_fails_before_a_diverging_run(capsys, params_
     assert sorted(tmp_path.iterdir()) == listing and not any(adir.iterdir())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--mode", "closed", "--plant", "nonlinear", "--x0", "phi_dot=1e308", "--out", "o.csv",
+      "--gains-out", ""], "cannot write gains file '': "),
+    (["--mode", "open", "--x0", "x=1e308,vx=1e308", "--dt", "0.01", "--out", "o.csv",
+      "--gains-out", ""], "--gains-out only applies to --mode closed\n"),
+    (["--x0", "x=1e308,vx=1e308", "--dt", "0.01", "--out", ""], "cannot write output file '': "),
+], ids=["closed-gains-out", "open-gains-out", "out"])
+def test_an_empty_output_path_fails_before_a_diverging_run(capsys, params_file, tmp_path,
+                                                           monkeypatch, argv, message):
+    # each run would exit 4; the empty path is refused first, and nothing is
+    # staged in the working directory
+    monkeypatch.chdir(tmp_path)
+    listing = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file, "--t-final", "1",
+                         *argv)
+    assert (code, out) == (2, "") and err.startswith("quadmodel: error: " + message)
+    assert sorted(tmp_path.iterdir()) == listing
+
+
 def test_sim_writes_a_fifo_at_out_as_a_regular_file(capsys, params_file, tmp_path):
     # the probe before the run opens no FIFO: a writer that came and went
     # would hang up on the reader (POLLHUP) before the CSV

@@ -140,3 +140,33 @@ assert simulate is quadmodel.simulate and callable(simulate)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=ENV, check=False)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_without_numpy_the_core_imports_and_a_twin_names_the_extra():
+    # -S leaves site-packages out, so numpy cannot load; _MODULES are the core modules
+    code = f"""
+import importlib, sys
+for module in {sorted(quadmodel._MODULES)!r}:
+    importlib.import_module("quadmodel." + module)
+assert not [m for m in sys.modules if m.split(".")[0] == "numpy" or m == {FACE!r}]
+import quadmodel
+quadmodel.analyze
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=ENV, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "ModuleNotFoundError: No module named 'numpy': pip install 'quadmodel[arrays]'")
+
+
+def test_the_numpy_twins_are_the_public_names_of_the_numpy_face():
+    # _EXPORTS lists each twin once, under the core module it resolves in
+    arrays = importlib.import_module(FACE)
+    defined = {name for name, value in vars(arrays).items()
+               if not name.startswith("_") and getattr(value, "__module__", None) == FACE}
+    twins = {name for name in quadmodel.__all__
+             if getattr(getattr(quadmodel, name), "__module__", None) == FACE}
+    assert twins == defined
+    for name in twins:
+        home = importlib.import_module(f"quadmodel.{quadmodel._HOME[name]}")
+        assert getattr(home, name) is getattr(arrays, name), name

@@ -20,21 +20,24 @@ def run_script(name, *argv, cwd):
                            *argv], capture_output=True, text=True, env=ENV, cwd=cwd, check=False)
 
 
-@pytest.mark.parametrize("pole,code,line", [
-    pytest.param("-3000", 4, "closed_loop_demo.py: simulation refused: the sampled closed loop "
-                 "Phi - Gamma K is unstable at the demo's fixed 1 ms step; use a slower --pole",
-                 id="unstable-at-dt"),
-    pytest.param("-1e60", 4, "closed_loop_demo.py: simulation refused: the sampled closed loop "
-                 "Phi - Gamma K is unstable at the demo's fixed 1 ms step; use a slower --pole",
-                 id="normal-gains-unstable-at-dt"),
-    pytest.param("-1e80", 2, "closed_loop_demo.py: error: the requested poles are too extreme "
-                 "for float64: a gain overflows or underflows, or a closed-loop entry overflows",
-                 id="beyond-float64"),
+UNSTABLE = ("closed_loop_demo.py: simulation refused: the sampled closed loop Phi - Gamma K is "
+            "unstable at the demo's fixed 1 ms step; use a slower --pole")
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    pytest.param("--pole=-3000 --t-final 1", 4, UNSTABLE, id="unstable-at-dt"),
+    pytest.param("--pole=-1e60 --t-final 1", 4, UNSTABLE, id="normal-gains-unstable-at-dt"),
+    pytest.param("--pole=-1e80 --t-final 1", 2, "closed_loop_demo.py: error: the requested poles "
+                 "are too extreme for float64: a gain overflows or underflows, or a closed-loop "
+                 "entry overflows", id="beyond-float64"),
+    pytest.param("--t-final 0", 2, "closed_loop_demo.py: error: need 0 < dt <= t_final, got "
+                 "dt=0.001, t_final=0.0", id="horizon-below-the-step"),
+    pytest.param("--t-final 1e5", 2, "closed_loop_demo.py: error: t_final/dt = 1e+08 exceeds the "
+                 "10000000 step guard", id="horizon-beyond-the-step-guard"),
 ])
-def test_closed_loop_demo_refuses_as_sim_does(tmp_path, pole, code, line):
+def test_closed_loop_demo_refuses_as_sim_does(tmp_path, argv, code, line):
     out = tmp_path / "demo.csv"
-    proc = run_script("closed_loop_demo.py", f"--pole={pole}", "--t-final", "1", "--out", str(out),
-                      cwd=tmp_path)
+    proc = run_script("closed_loop_demo.py", *argv.split(), "--out", str(out), cwd=tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line + "\n")
     assert not out.exists()
 

@@ -341,6 +341,27 @@ def test_sampled_loop_check_at_the_cli_repro(params):
     check_sampled_loop(m, gains.K, 1e-4)
 
 
+U4 = 0.511127743816468  # the least positive root of u^3 - 12 u + 6
+
+
+@pytest.mark.parametrize("p", [P, QuadParams(m=37, d=0.001, c=3, Ix=1e5, Iy=1e-4, Iz=7)],
+                         ids=["desk", "off-desk"])
+@pytest.mark.parametrize("a", [2.0 ** -10, 2.0, 2.0 ** 8, 2.0 ** 130])
+@pytest.mark.parametrize("dof,u,unstable", [(6, U4, (U4 * (1 + 1e-9),)),
+                                            (3, 1.0, (1.0, 1 + 1e-9))], ids=["6dof", "3dof"])
+def test_sampled_gate_flips_at_the_uniform_pole_threshold(p, a, dof, u, unstable):
+    # with every pole at -a, a chain of k integrators under ZOH at step dt has
+    # a sampled loop that depends on a dt alone, and is stable iff a dt < u_k:
+    # u_2 = 1, where z = -1, and u_4 = U4, the 6DOF roll and pitch chains'
+    spec = PoleSpec.uniform_6dof(-a) if dof == 6 else PoleSpec.uniform_3dof(-a)
+    a_rows, b_rows = model_rows(p, dof)
+    K = design_rows(p, spec, dof)
+    check_sampled_rows(a_rows, b_rows, K, u * (1 - 1e-9) / a)
+    for a_dt in unstable:
+        with pytest.raises(UnstableSampledLoop):
+            check_sampled_rows(a_rows, b_rows, K, a_dt / a)
+
+
 def test_sampled_block_with_an_eigenvalue_at_minus_one_fails():
     # F + I is singular: |z| = 1 is not strictly inside the unit circle
     b, K = np.zeros((12, 4)), np.zeros((4, 12))
