@@ -15,7 +15,8 @@ and its --out is that command's CSV for the same start, poles and horizon.
 Like sim, it refuses a --t-final below its 1 ms step or beyond sim's step
 guard and poles whose gains or closed loop leave float64 (exit 2, such as
 -1e80), and a sampled loop that is unstable at its 1 ms step (exit 4, such
-as -3000 or -1e60), with one line on stderr, before it prints or writes
+as -3000 or -1e60), and an --out it could not write (exit 2, such as a
+directory or ""), with one line on stderr, before it prints or writes
 anything.
 """
 
@@ -23,7 +24,7 @@ import argparse
 import math
 
 from quadmodel.analysis import analyze_rows
-from quadmodel.cli import InputError, csv_chunks, load_params
+from quadmodel.cli import InputError, _staging_file, _write_file, csv_chunks, load_params
 from quadmodel.models import LABELS, model_matrices
 from quadmodel.params import ParameterError
 from quadmodel.simulate import SimConfig, feedback_rows
@@ -51,7 +52,9 @@ def main():
         cfg = SimConfig(t_final=args.t_final, dt=DT)
         K = design_rows(p, PoleSpec.uniform_6dof(args.pole), 6)
         check_sampled_rows(a, b, K, DT)
-    except ValueError as e:  # a horizon SimConfig refuses, or a PolePlacementError
+        if args.out is not None:  # a path the CSV could not be written to fails before the run
+            _staging_file(args.out, "output").close()
+    except (ValueError, InputError) as e:  # SimConfig, a PolePlacementError, or --out
         ap.exit(2, f"{ap.prog}: error: {e}\n")
     except UnstableSampledLoop:
         # the demo's step is fixed, so sim's advice to pass a smaller --dt does not apply
@@ -81,9 +84,11 @@ def main():
     else:
         print("\nnorm never drops below 1e-3 of initial on this horizon")
 
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.writelines(csv_chunks(LABELS[6][0] + LABELS[6][1], blocks))
+    if args.out is not None:
+        try:
+            _write_file(args.out, "output", csv_chunks(LABELS[6][0] + LABELS[6][1], blocks))
+        except InputError as e:
+            ap.exit(2, f"{ap.prog}: error: {e}\n")
         print(f"wrote {args.out}")
 
 

@@ -9,12 +9,15 @@ Both legs are `quadmodel sim --dof 6 --mode open` runs on the float core:
 the linear model under u = 0, the nonlinear plant under held hover thrust.
 
 Usage: python scripts/linearization_sweep.py [--params FILE] [--out FILE.csv]
+
+Like sim, it refuses an --out it could not write (exit 2, such as a
+directory or "") with one line on stderr, before it prints anything.
 """
 
 import argparse
 import math
 
-from quadmodel.cli import InputError, load_params
+from quadmodel.cli import InputError, _staging_file, _write_file, load_params
 from quadmodel.models import model_rows
 from quadmodel.params import ParameterError, hover_thrust_per_rotor
 from quadmodel.simulate import SimConfig, feedback_law, feedback_rows, nonlinear_rows
@@ -41,6 +44,11 @@ def main():
         p = load_params(args.params)
     except (InputError, ParameterError) as e:
         ap.error(str(e))
+    if args.out is not None:  # a path the CSV could not be written to fails before the run
+        try:
+            _staging_file(args.out, "output").close()
+        except InputError as e:
+            ap.exit(2, f"{ap.prog}: error: {e}\n")
 
     rows = []
     print(f"{'theta0 [rad]':>12}  {'x_lin(1s) [m]':>14}  {'x_nl(1s) [m]':>14}  "
@@ -52,11 +60,13 @@ def main():
         print(f"{theta0:12.2f}  {x_lin:14.6f}  {x_nl:14.6f}  {div:9.3%}  "
               f"{math.sin(theta0) / theta0:9.6f}")
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("theta0,x_linear,x_nonlinear,relative_divergence\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    if args.out is not None:
+        lines = ["theta0,x_linear,x_nonlinear,relative_divergence\n"]
+        lines += [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows]
+        try:
+            _write_file(args.out, "output", [line.encode() for line in lines])
+        except InputError as e:
+            ap.exit(2, f"{ap.prog}: error: {e}\n")
         print(f"\nwrote {args.out}")
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from . import _twin
 from ._record import Record
 from .params import QuadParams
-from .rotor_forces import mixer_rows
+from .rotor_forces import _UNIT, mixer_rows
 
 ROTOR_FORCE_LABELS = ("F1", "F2", "F3", "F4")
 
@@ -85,17 +85,13 @@ LABELS = {
     3: (DOF3_STATE_LABELS, DOF3_INPUT_LABELS, DOF3_OUTPUT_LABELS),
 }
 
-# the 6DOF inputs are the chain inputs themselves
-_IDENTITY = [[float(i == j) for j in range(4)] for i in range(4)]
-
-
 def model_rows(p: QuadParams, dof: int) -> tuple[list, list]:
     """A and B of the dof model as nested lists, from its chain table, for
     parameters already validated. Row r of the input map gives chain input
     r from the model's inputs (the identity for 6DOF, the mixer for 3DOF);
     the last state of the chain it drives gets B row input_map[r] / inertia."""
     chains = CHAINS[dof]
-    input_map = _IDENTITY if dof == 6 else mixer_rows(p)
+    input_map = _UNIT if dof == 6 else mixer_rows(p)
     n = sum(len(ch.states) for ch in chains)
     A = [[0.0] * n for _ in range(n)]
     B = [[0.0] * 4 for _ in range(n)]

@@ -30,6 +30,7 @@ from . import _twin
 from ._record import Record
 from .linalg import expm_rows, matmul, nonzeros
 from .params import QuadParams
+from .rotor_forces import _mixed
 
 # checked only, and kept while perfbench's tilt_sweep passes integrator= and plant=
 INTEGRATORS = ("exact_zoh", "rk4")
@@ -197,20 +198,18 @@ def _rk4_held_forces(p: QuadParams, x, forces, dt: float) -> tuple[float, ...]:
 
     Every entry goes through the same operations in the same order as
     arrays.rk4_step(lambda t, xx: arrays.nonlinear_deriv(p, xx, f), x, t,
-    dt), so the result is identical to the bit. The held forces give the thrust and the
-    three angular accelerations once per step, and the stage states are
-    formed only where the derivative reads them: the yaw angle and the
-    positions never feed back.
+    dt), so the result is identical to the bit. The held forces give the
+    thrust and the three angular accelerations once per step, through
+    _mixed, and the stage states are formed only where the derivative reads
+    them: the yaw angle and the positions never feed back.
     """
     px, py, pz, vx, vy, vz, phi, theta, psi, p_rate, q_rate, r_rate = x
-    f1, f2, f3, f4 = forces
-    thrust = f1 + f2 + f3 + f4
+    f1, f2, f3, f4 = forces  # named, not starred: CPython's starred call is the slow path
+    thrust, roll, pitch, yaw = _mixed(f1, f2, f3, f4, p)
     tm = thrust / p.m
     m, g, sin, cos = p.m, p.g, math.sin, math.cos
     # angular accelerations, held across the step
-    ap = p.d * (f2 - f4) / p.Ix
-    aq = p.d * (f1 - f3) / p.Iy
-    ar = p.c * (-f1 + f2 - f3 + f4) / p.Iz
+    ap, aq, ar = roll / p.Ix, pitch / p.Iy, yaw / p.Iz
     h = 0.5 * dt
 
     # stage 1 at x

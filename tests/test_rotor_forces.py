@@ -15,6 +15,7 @@ from quadmodel import (
     mixer,
     mixer_inverse,
 )
+from quadmodel.rotor_forces import mixer_inverse_rows, mixer_rows
 from util import assert_close, force_component, quad_params, rotor_forces
 
 P_WIDE = QuadParams(m=1.0, d=0.3, c=0.01, Ix=0.01, Iy=0.01, Iz=0.02, g=9.81)
@@ -111,6 +112,31 @@ def test_mixer_inverse_is_exact(p):
         # relative to the summed products: a fused multiply-add leaves the
         # rounding of c/(2d) behind where two such products cancel
         assert np.all(np.abs(a @ b - np.eye(4)) <= 1e-15 * (np.abs(a) @ np.abs(b)))
+
+
+# the sign pattern S of M = diag(1, d, d, c) S. Rows: total thrust, roll,
+# pitch, yaw torque; columns: F1..F4. S S^T = diag(4, 2, 2, 4).
+S = (
+    (1.0, 1.0, 1.0, 1.0),
+    (0.0, 1.0, 0.0, -1.0),
+    (1.0, 0.0, -1.0, 0.0),
+    (-1.0, 1.0, -1.0, 1.0),
+)
+
+
+def _hex(rows):
+    # float.hex tells -0.0 from 0.0, and is equal iff the floats are
+    return [[float.hex(v) for v in row] for row in rows]
+
+
+@given(p=quad_params)
+def test_mixer_entries_are_the_scaled_signs_to_the_bit(p):
+    scales = (1.0, p.d, p.d, p.c)
+    assert _hex(mixer_rows(p)) == _hex([[k * s for s in row] for k, row in zip(scales, S)])
+    # M^-1 = S^T diag(1/4, 1/(2d), 1/(2d), 1/(4c))
+    inverse_scales = (0.25, 1.0 / (2.0 * p.d), 1.0 / (2.0 * p.d), 1.0 / (4.0 * p.c))
+    assert _hex(mixer_inverse_rows(p)) == _hex(
+        [[s * k for s, k in zip(col, inverse_scales)] for col in zip(*S)])
 
 
 @given(f=rotor_forces, p=quad_params)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,5 +67,31 @@ def test_linearization_sweep_linear_leg_is_the_closed_form_fall(tmp_path):
     for row in rows:
         theta0, x_linear = float(row["theta0"]), float(row["x_linear"])
         assert x_linear == pytest.approx(-g * theta0 / 2, rel=1e-12, abs=0)
+        # the gap bound: held hover thrust tilted by theta0 gives x'' = -g sin theta0,
+        # which RK4 integrates exactly, so the nonlinear leg falls short of the
+        # linear one by 1 - sin(theta0)/theta0 <= theta0^2 / 6
+        assert float(row["x_nonlinear"]) == pytest.approx(-g * math.sin(theta0) / 2, rel=1e-12,
+                                                          abs=0)
+        gap = 1 - math.sin(theta0) / theta0
+        assert float(row["relative_divergence"]) == pytest.approx(gap, rel=0, abs=1e-12)
+        assert gap <= theta0 ** 2 / 6
     divergence = [float(row["relative_divergence"]) for row in rows]
     assert all(a < b for a, b in zip(divergence, divergence[1:]))
+
+
+@pytest.mark.parametrize("script,argv", [
+    pytest.param("closed_loop_demo.py", ["--t-final", "1"], id="demo"),
+    pytest.param("linearization_sweep.py", [], id="sweep"),
+])
+@pytest.mark.parametrize("out,reason", [
+    pytest.param("adir", "[Errno 21] Is a directory: 'adir'", id="directory"),
+    pytest.param("", "[Errno 2] No such file or directory: ''", id="empty"),
+])
+def test_scripts_refuse_an_unwritable_out_before_the_run(tmp_path, script, argv, out, reason):
+    # as sim does: one line on stderr and exit 2, before the report is printed
+    (tmp_path / "adir").mkdir()
+    proc = run_script(script, *argv, "--out", out, cwd=tmp_path)
+    line = f"{script}: error: cannot write output file {out!r}: {reason}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line)
+    assert [path.name for path in tmp_path.iterdir()] == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())

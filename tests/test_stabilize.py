@@ -342,10 +342,10 @@ def test_sampled_loop_check_at_the_cli_repro(params):
 
 
 U4 = 0.511127743816468  # the least positive root of u^3 - 12 u + 6
+OFF_DESK = QuadParams(m=37, d=0.001, c=3, Ix=1e5, Iy=1e-4, Iz=7)
 
 
-@pytest.mark.parametrize("p", [P, QuadParams(m=37, d=0.001, c=3, Ix=1e5, Iy=1e-4, Iz=7)],
-                         ids=["desk", "off-desk"])
+@pytest.mark.parametrize("p", [P, OFF_DESK], ids=["desk", "off-desk"])
 @pytest.mark.parametrize("a", [2.0 ** -10, 2.0, 2.0 ** 8, 2.0 ** 130])
 @pytest.mark.parametrize("dof,u,unstable", [(6, U4, (U4 * (1 + 1e-9),)),
                                             (3, 1.0, (1.0, 1 + 1e-9))], ids=["6dof", "3dof"])
@@ -360,6 +360,69 @@ def test_sampled_gate_flips_at_the_uniform_pole_threshold(p, a, dof, u, unstable
     for a_dt in unstable:
         with pytest.raises(UnstableSampledLoop):
             check_sampled_rows(a_rows, b_rows, K, a_dt / a)
+
+
+def _pole_set(size):
+    """A conjugate-closed set of size stable poles, |p| from 0.1 to 30:
+    real poles and complex pairs r (-zeta +- i sqrt(1 - zeta^2)), with the
+    damping zeta log-uniform from 1e-6 to 1. Far below that, a 6DOF chain's
+    rounded gains need not be Hurwitz, and the design reports a defect
+    (test_near_undamped_pairs_are_a_false_defect_of_the_design)."""
+    magnitude = st.floats(-1.0, math.log10(30.0)).map(lambda e: 10.0 ** e)
+    real = magnitude.map(lambda r: (-r,))
+    damping = st.floats(-6.0, 0.0, exclude_max=True).map(lambda e: 10.0 ** e)
+    pair = st.tuples(magnitude, damping).map(
+        lambda rz: (rz[0] * complex(-rz[1], math.sqrt(1.0 - rz[1] ** 2)),
+                    rz[0] * complex(-rz[1], -math.sqrt(1.0 - rz[1] ** 2))))
+    return st.integers(0, size // 2).flatmap(
+        lambda pairs: st.tuples(*[pair] * pairs, *[real] * (size - 2 * pairs))).map(
+        lambda groups: tuple(s for group in groups for s in group))
+
+
+def _sampled_verdict(p, spec, dof, dt):
+    a_rows, b_rows = model_rows(p, dof)
+    try:
+        check_sampled_rows(a_rows, b_rows, design_rows(p, spec, dof), dt)
+    except UnstableSampledLoop:
+        return "unstable"
+    return "stable"
+
+
+@settings(max_examples=300, deadline=None)
+@given(dof=st.sampled_from([6, 3]), data=st.data(),
+       dt=st.floats(-3.0, math.log10(0.3)).map(lambda e: 10.0 ** e), k=st.integers(-30, 30))
+def test_sampled_gate_is_invariant_over_random_pole_sets(dof, data, dt, k):
+    # the sampled loop depends on the products p_i dt alone: the verdict is
+    # equal under (poles, dt) -> (2^k poles, dt / 2^k), both exact, and under
+    # a change of the vehicle parameters, which cancel against the gains
+    sets = {ch.name: data.draw(_pole_set(len(ch.states)), label=ch.name) for ch in CHAINS[dof]}
+    scaled = {name: tuple(2.0 ** k * s for s in poles) for name, poles in sets.items()}
+    verdict = _sampled_verdict(P, PoleSpec(**sets), dof, dt)
+    assert _sampled_verdict(P, PoleSpec(**scaled), dof, dt / 2.0 ** k) == verdict
+    assert _sampled_verdict(OFF_DESK, PoleSpec(**sets), dof, dt) == verdict
+
+
+def _pair(re, im):
+    return complex(re, im), complex(re, -im)
+
+
+@pytest.mark.parametrize("chain", [
+    pytest.param("pitch", id="one-pair-at-zeta-1.6e-16"),
+    pytest.param("roll", id="two-pairs-at-zeta-1e-12-and-1e-4"),
+])
+def test_near_undamped_pairs_are_a_false_defect_of_the_design(chain):
+    # a known defect, pinned as it stands: PoleSpec accepts pairs this close to
+    # the imaginary axis, but the rounded gains of a 6DOF 4-chain need not be
+    # Hurwitz. At desk parameters they are; at OFF_DESK the design reports a
+    # defect in its bookkeeping, where the request is what float64 cannot hold
+    poles = {"pitch": _pair(-0.27732327736596635, 0.9607766649076149)
+                      + _pair(-1.6081226496766364e-16, 1.0),
+             "roll": _pair(-1e-4, 0.9999999949999999) + _pair(-1e-12, 1.0)}[chain]
+    spec = PoleSpec(**{"z": (-1.0,) * 2, "roll": (-1.0,) * 4, "pitch": (-1.0,) * 4,
+                       "yaw": (-1.0,) * 2, chain: poles})
+    design_rows(P, spec, 6)
+    with pytest.raises(InternalStabilityCheckFailed):
+        design_rows(OFF_DESK, spec, 6)
 
 
 def test_sampled_block_with_an_eigenvalue_at_minus_one_fails():
