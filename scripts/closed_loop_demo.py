@@ -10,8 +10,9 @@ decays once the repeated-pole polynomial transients die off.
 Usage: python scripts/closed_loop_demo.py [--params FILE] [--pole -2.0]
        [--out traj.csv]
 
-It runs on the float core, as `quadmodel sim --dof 6 --mode closed` does,
-and its --out is that command's CSV for the same start, poles and horizon.
+Its run is `quadmodel sim --dof 6 --mode closed`'s, formed by the same
+call (cli.sim_blocks), so its --out is that command's CSV for the same
+start, poles and horizon.
 Like sim, it refuses a --t-final below its 1 ms step or beyond sim's step
 guard and poles whose gains or closed loop leave float64 (exit 2, such as
 -1e80), and a sampled loop that is unstable at its 1 ms step (exit 4, such
@@ -24,11 +25,12 @@ import argparse
 import math
 
 from quadmodel.analysis import analyze_rows
-from quadmodel.cli import InputError, _staging_file, _write_file, csv_chunks, load_params
+from quadmodel.cli import (InputError, _staging_file, _write_file, csv_chunks, load_params,
+                           sim_blocks)
 from quadmodel.models import LABELS, model_matrices
 from quadmodel.params import ParameterError
-from quadmodel.simulate import SimConfig, feedback_rows
-from quadmodel.stabilize import PoleSpec, UnstableSampledLoop, check_sampled_rows, design_rows
+from quadmodel.simulate import SimConfig
+from quadmodel.stabilize import PoleSpec, UnstableSampledLoop
 
 DT = 0.001  # s, the step of the run and of its sampled-loop check
 WIDTH = 17  # a row: t, 12 states, 4 inputs
@@ -47,11 +49,12 @@ def main():
         p = load_params(args.params)
     except (InputError, ParameterError) as e:
         ap.error(str(e))
-    a, b, c, _ = model_matrices(p, 6)
+    x0 = [0.0] * 12
+    x0[0] = x0[1] = x0[2] = 0.5   # half a metre off in every axis
+    x0[6] = x0[7] = 0.05          # three degrees of tilt
     try:
         cfg = SimConfig(t_final=args.t_final, dt=DT)
-        K = design_rows(p, PoleSpec.uniform_6dof(args.pole), 6)
-        check_sampled_rows(a, b, K, DT)
+        _, blocks = sim_blocks(p, 6, "linear", PoleSpec.uniform_6dof(args.pole), None, x0, cfg)
         if args.out is not None:  # a path the CSV could not be written to fails before the run
             _staging_file(args.out, "output").close()
     except (ValueError, InputError) as e:  # SimConfig, a PolePlacementError, or --out
@@ -61,14 +64,12 @@ def main():
         ap.exit(4, f"{ap.prog}: simulation refused: the sampled closed loop Phi - Gamma K is "
                    f"unstable at the demo's fixed {DT * 1e3:g} ms step; use a slower --pole\n")
 
+    a, b, c, _ = model_matrices(p, 6)
     report = analyze_rows(a, b, c)
     print(f"open loop: stability={report.stability_class}, "
           f"controllability rank {report.controllability_rank}/12")
 
-    x0 = [0.0] * 12
-    x0[0] = x0[1] = x0[2] = 0.5   # half a metre off in every axis
-    x0[6] = x0[7] = 0.05          # three degrees of tilt
-    blocks = list(feedback_rows(a, b, K, [0.0] * 4, x0, cfg))
+    blocks = list(blocks)
     rows = [(block[k], math.hypot(*block[k + 1:k + 13]))
             for block in blocks for k in range(0, len(block), WIDTH)]
 

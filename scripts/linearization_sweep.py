@@ -5,8 +5,9 @@ drifts from the linear model over one second of open-loop fall.
 Prints a table of final x-positions and relative divergence; the knee
 around 0.3-0.5 rad is the practical edge of the small-angle regime.
 
-Both legs are `quadmodel sim --dof 6 --mode open` runs on the float core:
-the linear model under u = 0, the nonlinear plant under held hover thrust.
+Both legs are `quadmodel sim --dof 6 --mode open --t-final 1 --dt 1e-4`
+runs, formed by the same call (cli.sim_blocks): the linear model under
+u = 0, the nonlinear plant under held hover thrust.
 
 Usage: python scripts/linearization_sweep.py [--params FILE] [--out FILE.csv]
 
@@ -17,21 +18,21 @@ directory or "") with one line on stderr, before it prints anything.
 import argparse
 import math
 
-from quadmodel.cli import InputError, _staging_file, _write_file, load_params
-from quadmodel.models import model_rows
+from quadmodel.cli import InputError, _staging_file, _write_file, load_params, sim_blocks
 from quadmodel.params import ParameterError, hover_thrust_per_rotor
-from quadmodel.simulate import SimConfig, feedback_law, feedback_rows, nonlinear_rows
+from quadmodel.simulate import SimConfig
 
 ANGLES = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
+DT = 1e-4  # s
+T_FINAL = 1.0  # s
 
 
-def run(p, theta0, dt=1e-4, t_final=1.0):
+def run(p, theta0):
     x0 = [0.0] * 12
     x0[7] = theta0
-    K0 = [[0.0] * 12 for _ in range(4)]  # open loop: no feedback
-    cfg = SimConfig(t_final=t_final, dt=dt)
-    *_, lin = feedback_rows(*model_rows(p, 6), K0, [0.0] * 4, x0, cfg)
-    *_, nl = nonlinear_rows(p, feedback_law(K0, [hover_thrust_per_rotor(p)] * 4), x0, cfg)
+    cfg = SimConfig(t_final=T_FINAL, dt=DT)
+    *_, lin = sim_blocks(p, 6, "linear", None, [0.0] * 4, x0, cfg)[1]
+    *_, nl = sim_blocks(p, 6, "nonlinear", None, [hover_thrust_per_rotor(p)] * 4, x0, cfg)[1]
     return lin[-16], nl[-16]  # x in the last block's last row: t, x (12 states), u (4 inputs)
 
 

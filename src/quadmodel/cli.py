@@ -5,7 +5,8 @@ inputs.
 Exit codes are fixed for scriptability:
     0  success
     2  input problem (missing/garbled file, bad flag combination, bad spec,
-       poles whose gains leave float64, mix/demix values that overflow)
+       poles whose gains leave float64, mix/demix values that overflow,
+       --out and --gains-out naming one file)
     3  physical parameter validation failure
     4  runtime failure: a simulation left the finite floats, a closed-loop
        run on either plant whose sampled loop Phi - Gamma K is unstable at
@@ -18,6 +19,10 @@ Error paths print a one-line diagnostic on stderr and nothing on stdout.
 bytes of one %-format, to an unnamed file beside --out, and copies it onto
 --out after the run: memory stays flat and no failed run opens a path. Both
 --out and --gains-out are probed before the run; the JSON is written after.
+
+sim_blocks forms every `sim` run from the resolved request: it designs and
+gates the gain of a closed loop and picks the plant's run. cmd_sim and both
+scripts call it, so each of them runs what `sim` runs.
 
 Every command runs on the package's float core: `model` prints the nested
 lists of models.model_matrices, `analyze` reads them through
@@ -276,6 +281,31 @@ def _write_file(path: str, what: str, chunks) -> None:
             raise InputError(f"cannot write {what} file {path!r}: {e}") from e
 
 
+def sim_blocks(p, dof: int, plant: str, spec, held, x0, cfg: SimConfig):
+    """The gain K and the blocks of the `sim` run of the dof model on plant
+    ("linear" or "nonlinear") from x0; the blocks run as they are read.
+
+    Open loop (spec None): K = 0 under the held input (rotor forces on the
+    nonlinear plant). Closed loop: K is designed for spec and its sampled
+    loop gated at cfg.dt, before the run (PolePlacementError,
+    UnstableSampledLoop), and the run regulates to hover: r = 0 in the 6DOF
+    deviation coordinates, equal per-rotor hover thrust for the 3DOF model
+    (which adds no torque, so regulation is unaffected), and u = -K x
+    demixed on the nonlinear plant, where an overflow fails the step.
+    """
+    a, b = model_rows(p, dof)
+    K = [[0.0] * len(a) for _ in b[0]]  # open loop: no feedback
+    if spec is not None:
+        K = design_rows(p, spec, dof)
+        check_sampled_rows(a, b, K, cfg.dt)
+        held = [0.0 if dof == 6 else hover_thrust_per_rotor(p)] * 4
+    if plant == "linear":
+        return K, feedback_rows(a, b, K, held, x0, cfg)
+    law = feedback_law(K, held)
+    forces = law if spec is None else lambda t, x: demix_values(*law(t, x), p)
+    return K, nonlinear_rows(p, forces, x0, cfg)
+
+
 def cmd_sim(args) -> int:
     p = load_params(args.params)
     nonlinear = args.plant == "nonlinear"
@@ -287,6 +317,10 @@ def cmd_sim(args) -> int:
         raise InputError("--gains-out only applies to --mode closed")
     if args.mode == "closed" and args.input:
         raise InputError("--input only applies to --mode open (closed mode drives u = r - K x)")
+    if args.gains_out is not None and (os.path.realpath(args.gains_out)
+                                       == os.path.realpath(args.out)):
+        raise InputError(f"--out and --gains-out name the same file {args.out!r}; "
+                         "the gains would replace the CSV")
 
     state_labels, model_inputs, _ = LABELS[args.dof]
     input_labels = ROTOR_FORCE_LABELS if nonlinear else model_inputs
@@ -297,31 +331,15 @@ def cmd_sim(args) -> int:
     except ValueError as e:
         raise InputError(str(e)) from e
 
-    hover = hover_thrust_per_rotor(p)
-    a, b = model_rows(p, args.dof)
-    K = [[0.0] * len(state_labels) for _ in model_inputs]  # open loop: no feedback
-    if args.mode == "closed":
-        try:
-            K = design_rows(p, parse_pole_spec(args.poles, args.dof), args.dof)
-            check_sampled_rows(a, b, K, cfg.dt)
-        except PolePlacementError as e:  # the default poles are valid: the parameters are at fault
-            raise InputError(str(e) if args.poles else DEFAULT_POLES_OUT_OF_RANGE) from e
-        if args.gains_out is not None:  # a gains path that refuses the file fails before the run
-            _staging_file(args.gains_out, "gains").close()
-
-    if nonlinear and args.mode == "open":  # K = 0: the law holds the forces
-        held = parse_assignments(args.input, input_labels, "input", defaults=[hover] * 4)
-        blocks = nonlinear_rows(p, feedback_law(K, held), x0, cfg)
-    elif nonlinear:  # u = -K x, demixed: an overflow fails the step
-        law = feedback_law(K, [0.0] * 4)
-        blocks = nonlinear_rows(p, lambda t, x: demix_values(*law(t, x), p), x0, cfg)
-    else:
-        # open loop holds r; closed loop r = hover equilibrium input: zero in
-        # the 6DOF deviation coordinates, equal per-rotor hover thrust for the
-        # 3DOF model (which adds no torque, so regulation is unaffected).
-        r = ([0.0 if args.dof == 6 else hover] * 4 if args.mode == "closed"
-             else parse_assignments(args.input, input_labels, "input"))
-        blocks = feedback_rows(a, b, K, r, x0, cfg)
+    spec = parse_pole_spec(args.poles, args.dof) if args.mode == "closed" else None
+    held = parse_assignments(args.input, input_labels, "input",
+                             defaults=[hover_thrust_per_rotor(p)] * 4 if nonlinear else None)
+    try:
+        K, blocks = sim_blocks(p, args.dof, args.plant, spec, held, x0, cfg)
+    except PolePlacementError as e:  # the default poles are valid: the parameters are at fault
+        raise InputError(str(e) if args.poles else DEFAULT_POLES_OUT_OF_RANGE) from e
+    if args.gains_out is not None:  # a gains path that refuses the file fails before the run
+        _staging_file(args.gains_out, "gains").close()
 
     _write_file(args.out, "output", csv_chunks(state_labels + input_labels, blocks))
     if args.gains_out is not None:  # closed mode only

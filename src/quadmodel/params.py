@@ -50,11 +50,14 @@ def validate(p: QuadParams) -> QuadParams:
     """Return ``p`` unchanged iff every parameter is finite and > 0 and
     every quotient the models, their Kalman matrices and the inverse mixer
     take of them stays finite: 1/m, then 1, d and g over Ix and Iy, 1 and
-    c over Iz, and 1/(2d), 1/(4c).
+    c over Iz, and 1/(2d), 1/(4c), whose divisors 2d and 4c must be finite
+    too.
 
     Raises NonFiniteParameter or NonPositiveParameter naming the first
     offending field, or ParameterError naming the divisor of the first
-    quotient that overflows (Ix = 1e-310 makes 1/Ix infinite).
+    quotient that overflows (Ix = 1e-310 makes 1/Ix infinite), or d or c
+    where 2d or 4c overflows (d = 2^1023: 1/(2d) would read 0, not the
+    subnormal 2^-1024).
     """
     for name, v in zip(p._fields, p.as_tuple()):
         if not (isinstance(v, (int, float)) and not isinstance(v, bool)):
@@ -76,6 +79,10 @@ def validate(p: QuadParams) -> QuadParams:
             raise ParameterError(
                 name, getattr(p, name), "is too small: a model entry divided by it overflows"
             )
+    for name, scale in (("d", 2.0), ("c", 4.0)):
+        if not math.isfinite(scale * getattr(p, name)):
+            raise ParameterError(name, getattr(p, name),
+                                 f"is too large: {scale:g}{name} in the inverse mixer overflows")
     return p
 
 

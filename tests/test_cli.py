@@ -832,6 +832,39 @@ def test_parameters_whose_model_entries_overflow_are_exit_3(capsys, tmp_path, co
                    "entry divided by it overflows (got 1e-310)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["model", "--dof", "6"],
+    ["sim", "--dof", "3", "--mode", "closed", "--t-final", "1", "--out", "x.csv"],
+    ["demix", "0", "1e300", "0", "0"],
+], ids=["model", "sim-3dof-closed", "demix"])
+def test_parameters_whose_inverse_mixer_divisor_overflows_are_exit_3(capsys, tmp_path,
+                                                                      monkeypatch, argv):
+    # where 2d overflows, 1/(2d) reads 0: the 3DOF design would lose the roll and
+    # pitch axes and report a false defect, and demix would drop F2 - F4
+    monkeypatch.chdir(tmp_path)
+    Path("big.json").write_text(json.dumps({"m": 1, "d": 1e308, "c": 1e308,
+                                            "Ix": 1e10, "Iy": 1e10, "Iz": 1e10}))
+    code, out, err = run(capsys, *argv[:1], "--params", "big.json", *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == ("quadmodel: invalid parameters: parameter d is too large: 2d in the "
+                   "inverse mixer overflows (got 1e+308)\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["big.json"]
+
+
+@pytest.mark.parametrize("out_name", ["same.txt", "./same.txt"])
+def test_out_and_gains_out_naming_one_file_are_exit_2(capsys, params_file, tmp_path, monkeypatch,
+                                                      out_name):
+    # the gains JSON would replace the CSV: refused before the run, nothing made
+    monkeypatch.chdir(tmp_path)
+    listing = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed",
+                         "--t-final", "0.01", "--out", out_name, "--gains-out", "same.txt")
+    assert (code, out) == (2, "")
+    assert err == (f"quadmodel: error: --out and --gains-out name the same file {out_name!r}; "
+                   "the gains would replace the CSV\n")
+    assert sorted(tmp_path.iterdir()) == listing
+
+
 @pytest.mark.parametrize("dof,message", [
     (6, "unknown pole chain 'tilt'; choose from z, roll, pitch, yaw"),
     (3, "unknown pole chain 'z'; choose from roll, pitch, yaw"),

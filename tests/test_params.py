@@ -69,6 +69,19 @@ def test_overflowing_model_entries_rejected_naming_field(params, overrides, fiel
     assert str(excinfo.value).startswith(f"parameter {field} is too small")
 
 
+@pytest.mark.parametrize("field,edge", [("d", 2.0 ** 1023), ("c", 2.0 ** 1022)])
+def test_inverse_mixer_divisors_that_overflow_rejected_naming_field(params, field, edge):
+    # 2d and 4c reach 2^1024 at the edge, where 1/(2d) and 1/(4c) would read 0;
+    # the inertias are large enough that no quotient overflows on either side
+    big = {"Ix": 1e10, "Iy": 1e10, "Iz": 1e10}
+    below = _with(params, **big, **{field: math.nextafter(edge, 0.0)})
+    assert validate(below) is below
+    with pytest.raises(ParameterError) as excinfo:
+        validate(_with(params, **big, **{field: edge}))
+    assert excinfo.value.name == field
+    assert str(excinfo.value).startswith(f"parameter {field} is too large")
+
+
 magnitude = st.floats(-310.0, 308.0).map(lambda e: 10.0 ** e)
 
 

@@ -55,16 +55,22 @@ def test_closed_loop_demo_writes_the_csv_of_sim(tmp_path):
     assert (tmp_path / "demo.csv").read_bytes() == (tmp_path / "sim.csv").read_bytes()
 
 
-def test_linearization_sweep_linear_leg_is_the_closed_form_fall(tmp_path):
-    # from hover at pitch theta0 the linear model's x' = v, v' = -g theta0
-    # holds theta0, so x(1 s) = -g theta0 / 2; the nonlinear plant falls short
-    # of that by more the larger theta0 is
+@pytest.fixture(scope="module")
+def sweep_rows(tmp_path_factory):
+    """The rows of the sweep's --out, as strings."""
+    tmp_path = tmp_path_factory.mktemp("sweep")
     proc = run_script("linearization_sweep.py", "--out", str(tmp_path / "sweep.csv"), cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
     with open(tmp_path / "sweep.csv", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        return list(csv.DictReader(fh))
+
+
+def test_linearization_sweep_linear_leg_is_the_closed_form_fall(sweep_rows):
+    # from hover at pitch theta0 the linear model's x' = v, v' = -g theta0
+    # holds theta0, so x(1 s) = -g theta0 / 2; the nonlinear plant falls short
+    # of that by more the larger theta0 is
     g = json.loads(Path(PARAMS).read_text(encoding="utf-8"))["g"]
-    for row in rows:
+    for row in sweep_rows:
         theta0, x_linear = float(row["theta0"]), float(row["x_linear"])
         assert x_linear == pytest.approx(-g * theta0 / 2, rel=1e-12, abs=0)
         # the gap bound: held hover thrust tilted by theta0 gives x'' = -g sin theta0,
@@ -75,8 +81,21 @@ def test_linearization_sweep_linear_leg_is_the_closed_form_fall(tmp_path):
         gap = 1 - math.sin(theta0) / theta0
         assert float(row["relative_divergence"]) == pytest.approx(gap, rel=0, abs=1e-12)
         assert gap <= theta0 ** 2 / 6
-    divergence = [float(row["relative_divergence"]) for row in rows]
+    divergence = [float(row["relative_divergence"]) for row in sweep_rows]
     assert all(a < b for a, b in zip(divergence, divergence[1:]))
+
+
+@pytest.mark.parametrize("plant,column", [("linear", "x_linear"), ("nonlinear", "x_nonlinear")])
+def test_linearization_sweep_legs_are_sim_open_runs(sweep_rows, tmp_path, plant, column):
+    # each leg's x is the last row's x of sim --mode open from pitch theta0,
+    # both written as %.17g: the same run gives the same string
+    out = tmp_path / "sim.csv"
+    for row in (sweep_rows[0], sweep_rows[-1]):
+        assert main(["sim", "--dof", "6", "--params", PARAMS, "--plant", plant, "--mode", "open",
+                     "--x0", f"theta={row['theta0']}", "--t-final", "1", "--dt", "1e-4",
+                     "--out", str(out)]) == 0
+        *_, last = out.read_text(encoding="utf-8").splitlines()
+        assert last.split(",")[1] == row[column]
 
 
 @pytest.mark.parametrize("script,argv", [
