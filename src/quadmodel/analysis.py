@@ -35,11 +35,13 @@ def _kalman_rank(a, b) -> int:
     """Rank of the span of b, b a, b a^2, ..., exactly, for integer rows as
     int_rows gives them: block k is a positive multiple of (A^k B)^T on the
     rows of (2^s A)^T and of 2^t B^T, and of C A^k on those of 2^s A and 2^t C.
-    The span grows block by block up to n, or until a block adds nothing,
-    when no later one can either (Kalman)."""
-    basis: list = []
-    while sum(span_add(basis, row) for row in b) and len(basis) < len(a):
-        b = [row_times(row, a, 0).items() for row in b]
+    Only the rows that span_add accepts are carried to the next block: a row
+    the span already holds maps into the span of the accepted rows' images
+    (Krylov). The span grows until a block adds nothing, when no later one
+    can either (Kalman), or until it reaches n."""
+    basis: dict = {}
+    while b and len(basis) < len(a):
+        b = [row_times(row, a, 0).items() for row in b if span_add(basis, row)]
     return len(basis)
 
 

@@ -6,7 +6,7 @@ Exit codes are fixed for scriptability:
     0  success
     2  input problem (missing/garbled file, bad flag combination, bad spec,
        poles whose gains leave float64, mix/demix values that overflow,
-       --out and --gains-out naming one file)
+       --out and --gains-out naming one file, by path or by hard link)
     3  physical parameter validation failure
     4  runtime failure: a simulation left the finite floats, a closed-loop
        run on either plant whose sampled loop Phi - Gamma K is unstable at
@@ -269,6 +269,16 @@ def _staging_file(path: str, what: str):
         raise InputError(f"cannot write {what} file {path!r}: {e}") from e
 
 
+def _one_file(a: str, b: str) -> bool:
+    """a and b name one file: one real path, or two links to one existing file."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one is missing (or unreadable, which the staging refuses)
+        return False
+
+
 def _write_file(path: str, what: str, chunks) -> None:
     """Stage chunks beside path, then copy them onto path as open(path, "wb") writes."""
     with _staging_file(path, what) as staged:
@@ -317,8 +327,7 @@ def cmd_sim(args) -> int:
         raise InputError("--gains-out only applies to --mode closed")
     if args.mode == "closed" and args.input:
         raise InputError("--input only applies to --mode open (closed mode drives u = r - K x)")
-    if args.gains_out is not None and (os.path.realpath(args.gains_out)
-                                       == os.path.realpath(args.out)):
+    if args.gains_out is not None and _one_file(args.out, args.gains_out):
         raise InputError(f"--out and --gains-out name the same file {args.out!r}; "
                          "the gains would replace the CSV")
 

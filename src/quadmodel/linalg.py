@@ -4,8 +4,10 @@ exact integer kernel: the float core's linear algebra.
 The matrices in this problem are tiny (at most 12x48, or 72x12) with
 exact-formula entries, mostly exact zeros, which nonzeros, matmul and
 expm_rows skip. The exact kernel decides on the integers 2^s A
-(int_rows): ranks by fraction-free elimination (span_add), nilpotency by
-powers (_nilpotency_ints), characteristic polynomials (_poly_ints) by
+(int_rows), on the rows that can still change the answer: ranks by
+fraction-free elimination against the one basis row keyed by a row's least
+column (span_add), nilpotency by powers of the rows that have not vanished
+(_nilpotency_ints), characteristic polynomials (_poly_ints) by
 Berkowitz's division-free recurrence, for any square matrix. The cores take
 integer rows, so a caller converts a matrix once and reads every answer
 from it; char_poly_ints wraps them.
@@ -36,11 +38,14 @@ class NotNilpotent(ValueError):
 
 def _nilpotency_ints(rows) -> int | None:
     """The smallest k <= n with A^k = 0 exactly, or None when no power up
-    to n vanishes, from the rows of int_rows: the powers of 2^s A run on ints."""
-    power, k = rows, 1
-    while any(power) and k < len(rows):  # power = (2^s A)^k
-        power, k = [[(c, v) for c, v in row_times(r, rows, 0).items() if v] for r in power], k + 1
-    return None if any(power) else k
+    to n vanishes, from the rows of int_rows: the powers of 2^s A run on ints.
+    A row of a power that vanishes stays zero in every later power, so it is
+    dropped, and the powers end when no row is left."""
+    power, k = [r for r in rows if r], 1  # the nonzero rows of (2^s A)^k
+    while power and k < len(rows):
+        power = [[(c, v) for c, v in row_times(r, rows, 0).items() if v] for r in power]
+        power, k = [r for r in power if r], k + 1
+    return None if power else k
 
 
 def nonzeros(m, scale: float = 1.0) -> list[list[tuple[int, float]]]:
@@ -113,22 +118,24 @@ def int_rows(a) -> tuple[list[list[tuple[int, int]]], int]:
     return [[(k, next(it)) for k in compress(range(len(row)), row)] for row in a], s
 
 
-def span_add(basis: list, row) -> bool:
-    """Add an integer row, as (column, int) pairs, to basis, the echelon rows
-    as (pivot column, {column: int}), unless they span it; True iff added.
-    Fraction-free: row <- b_p row - row_p b for each basis row b in order
-    zeroes the row at every pivot p; a row that is left is divided by the
-    gcd of its entries."""
-    row = dict(row)
-    for p, b in basis:
-        x, y = row.get(p), b[p]
-        if x:
-            row = {c: y * row.get(c, 0) - x * b.get(c, 0) for c in row.keys() | b.keys()}
-    row = {c: v for c, v in row.items() if v}
-    if row:
-        g = math.gcd(*row.values())
-        basis.append((min(row), {c: v // g for c, v in row.items()}))
-    return bool(row)
+def span_add(basis: dict, row) -> bool:
+    """Add an integer row, as (column, int) pairs, to basis, a dict from
+    each echelon row's pivot, its least column, to the row as {column: int},
+    unless they span it; True iff added. Fraction-free: while the row's least
+    column p is a pivot, row <- b_p[p] row - row[p] b_p zeroes it and leaves
+    only larger columns. A least column that is no pivot makes the row
+    independent: it is added, divided by the gcd of its entries."""
+    row = {c: v for c, v in row if v}
+    while row:
+        p = min(row)
+        b = basis.get(p)
+        if b is None:
+            g = math.gcd(*row.values())
+            basis[p] = {c: v // g for c, v in row.items()}
+            return True
+        x, y = row[p], b[p]
+        row = {c: v for c in row.keys() | b.keys() if (v := y * row.get(c, 0) - x * b.get(c, 0))}
+    return False
 
 
 def char_poly_ints(a) -> tuple[list[int], int]:

@@ -22,8 +22,10 @@ from quadmodel import (
     observability_matrix,
     observability_rank,
 )
-from quadmodel.linalg import char_poly_ints, is_hurwitz_ints, rounded_poly
-from util import fraction_rank, log_uniform, quad_params, wide_params
+from quadmodel.analysis import _kalman_rank
+from quadmodel.linalg import char_poly_ints, int_rows, is_hurwitz_ints, rounded_poly
+from util import (fraction_matmul, fraction_nilpotency, fraction_rank, int_matrices, log_uniform,
+                  quad_params, sparse_ints, wide_params)
 
 
 def _with_matrices(m, A=None, B=None, C=None):
@@ -146,11 +148,6 @@ def test_analyze_decides_stability_where_the_coefficients_overflow(scale, verdic
 # ---------------------------------------------------------------- exact oracles
 
 
-def fraction_matmul(a, b):
-    return [[sum(x * b[k][j] for k, x in enumerate(row) if x) for j in range(len(b[0]))]
-            for row in a]
-
-
 def fraction_kalman(a, b):
     """[B, AB, ..., A^(n-1) B] of the stored float64 entries, in exact rationals."""
     a = [[Fraction(x) for x in row] for row in a.tolist()]
@@ -162,15 +159,31 @@ def fraction_kalman(a, b):
     return [sum((blk[i] for blk in blocks), []) for i in range(len(a))]
 
 
-def fraction_nilpotency(a):
-    """Smallest k <= n with A^k = 0 in exact rationals, or None."""
-    a = [[Fraction(x) for x in row] for row in a.tolist()]
-    power = a
-    for k in range(1, len(a) + 1):
-        if not any(map(any, power)):
-            return k
-        power = fraction_matmul(power, a)
-    return None
+@st.composite
+def kalman_pairs(draw):
+    """An integer A (n x n) and up to 5 rows b of width n: zero rows, a
+    combination of two drawn rows, and b A^k that cancel to 0 are common."""
+    n = draw(st.integers(1, 6))
+    a, b = draw(int_matrices(n, n)), draw(int_matrices(draw(st.integers(0, 4)), n))
+    if len(b) >= 2:
+        x, y = draw(sparse_ints), draw(sparse_ints)
+        b.append([x * u + y * v for u, v in zip(b[0], b[1])])
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(ab=kalman_pairs())
+@example(ab=([[1, 1], [-1, -1]], [[1, 1], [0, 0]]))  # b A = 0 by cancellation, a zero row
+@example(ab=([[0, 1], [0, 0]], [[1, 0], [2, 0]]))  # a dependent row whose image is not 0
+@example(ab=([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+             [[1, 0, 0, 0], [0, 0, 1, 0]]))  # two chains, one row each: both carried
+def test_kalman_rank_is_the_exact_rank_of_the_krylov_rows(ab):
+    # [b; b A; ...; b A^(n-1)] in full, against the accepted rows carried forward
+    a, b = ab
+    rows, block = [], b
+    for _ in a:
+        rows, block = rows + block, fraction_matmul(block, a)
+    assert _kalman_rank(int_rows(a)[0], int_rows(b)[0]) == fraction_rank(rows)
 
 
 def desk(**changes):

@@ -865,6 +865,24 @@ def test_out_and_gains_out_naming_one_file_are_exit_2(capsys, params_file, tmp_p
     assert sorted(tmp_path.iterdir()) == listing
 
 
+def test_out_and_gains_out_hard_links_to_one_file_are_exit_2(capsys, params_file, tmp_path,
+                                                              monkeypatch):
+    # two names of one existing file: the gains JSON would replace the CSV
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed",
+                     "--t-final", "0.01", "--out", "a.csv")
+    assert code == 0
+    os.link("a.csv", "b.json")
+    before, listing = Path("a.csv").read_bytes(), sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "sim", "--dof", "6", "--params", params_file, "--mode", "closed",
+                         "--t-final", "0.01", "--out", "a.csv", "--gains-out", "b.json")
+    assert (code, out) == (2, "")
+    assert err == ("quadmodel: error: --out and --gains-out name the same file 'a.csv'; "
+                   "the gains would replace the CSV\n")
+    assert Path("a.csv").read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == listing
+
+
 @pytest.mark.parametrize("dof,message", [
     (6, "unknown pole chain 'tilt'; choose from z, roll, pitch, yaw"),
     (3, "unknown pole chain 'z'; choose from roll, pitch, yaw"),

@@ -29,8 +29,8 @@ from quadmodel import (
     rank,
     zoh_discretize,
 )
-from quadmodel.linalg import char_poly_ints, int_rows, span_add
-from util import assert_close, fraction_rank, quad_params
+from quadmodel.linalg import _nilpotency_ints, char_poly_ints, int_rows, span_add
+from util import assert_close, fraction_nilpotency, fraction_rank, int_matrices, quad_params
 
 SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -172,12 +172,11 @@ def test_span_add_rank_is_the_exact_rank(u, v):
     # u v has rank at most 3 of up to 8 rows: dependent rows are common
     width = min(map(len, v))
     a = [[sum(x * row[j] for x, row in zip(r, v)) for j in range(width)] for r in u]
-    basis = []
+    basis = {}
     added = [span_add(basis, list(enumerate(row))) for row in a]
     assert len(basis) == sum(added) == fraction_rank(a)
-    for j, (p, b) in enumerate(basis):  # an echelon form: zero at every earlier pivot
-        assert b[p] and math.gcd(*b.values()) == 1
-        assert not any(b.get(q) for q, _ in basis[:j])
+    for p, b in basis.items():  # an echelon form: each row keyed by its least column
+        assert p == min(b) and b[p] and math.gcd(*b.values()) == 1
 
 
 # ---------------------------------------------------------------- nilpotency
@@ -204,6 +203,31 @@ def test_nilpotency_index_is_exact_at_any_scale():
     assert nilpotency_index(np.zeros((0, 0))) == 1
     # A^2 = 0 by cancellation, not by sparsity
     assert nilpotency_index([[1.0, 1.0], [-1.0, -1.0]]) == 2
+
+
+@st.composite
+def square_ints(draw):
+    """A square integer matrix; half of them nilpotent: strictly upper
+    triangular, then conjugated by a permutation and by I + t E_ij, which
+    makes A^k = 0 a cancellation."""
+    n = draw(st.integers(0, 6))
+    a = draw(int_matrices(n, n))
+    if n >= 2 and draw(st.booleans()):
+        p, t = draw(st.permutations(range(n))), draw(st.integers(-3, 3))
+        a = [[a[p[i]][p[j]] if p[j] > p[i] else 0 for j in range(n)] for i in range(n)]
+        i, j = p[:2]  # (I + t E_ij) a (I - t E_ij): row i += t row j, column j -= t column i
+        a[i] = [x + t * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] -= t * row[i]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=square_ints())
+@example(a=[[1, 1], [-1, -1]])  # A^2 = 0 by cancellation
+@example(a=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # a permutation: no power vanishes
+def test_nilpotency_ints_is_the_exact_power_count(a):
+    assert _nilpotency_ints(int_rows(a)[0]) == fraction_nilpotency(a)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

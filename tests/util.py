@@ -1,5 +1,6 @@
 """Shared test helpers: vector-scale-relative comparison, an exact rank,
-and hypothesis strategies for physical parameters and force quadruples."""
+and hypothesis strategies for physical parameters, force quadruples and
+sparse integer matrices."""
 
 import math
 from fractions import Fraction
@@ -37,6 +38,35 @@ def fraction_rank(rows) -> int:
                     m[i] = [x - f * y for x, y in zip(m[i], m[r])]
             r += 1
     return r
+
+
+def fraction_matmul(a, b):
+    """a b for nested lists of exact numbers (Fraction or int)."""
+    return [[sum(x * b[k][j] for k, x in enumerate(row) if x) for j in range(len(b[0]))]
+            for row in a]
+
+
+def fraction_nilpotency(a):
+    """Smallest k <= max(n, 1) with A^k = 0 in exact rationals, or None,
+    by full powers, for the rows of a square matrix of floats or ints."""
+    a = [[Fraction(x) for x in row] for row in a]
+    power = a
+    for k in range(1, max(len(a), 1) + 1):
+        if not any(map(any, power)):
+            return k
+        power = fraction_matmul(power, a)
+    return None
+
+
+# mostly zeros and units, so that rows depend and products cancel, with a
+# few entries beyond float64's integers
+sparse_ints = st.just(0) | st.integers(-2, 2) | st.integers(-(2**70), 2**70)
+
+
+def int_matrices(rows, cols):
+    """Integer matrices of the given shape, entries from sparse_ints."""
+    return st.lists(st.lists(sparse_ints, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
