@@ -35,7 +35,7 @@ rotor_forces SMALL_ANGLE_LIMIT GeneralizedInput RotorForces demix is_physical mi
 rotor_forces mixer_inverse
 simulate NonFiniteDerivative NonFiniteState SimConfig StepCountExceeded Trajectory rk4_step
 simulate nonlinear_deriv simulate simulate_feedback simulate_nonlinear zoh_discretize zoh_step
-stabilize GainMatrix InternalStabilityCheckFailed PoleCountMismatch PolePlacementError PoleSpec
+stabilize GainMatrix PoleCountMismatch PolePlacementError PoleSpec
 stabilize UnstablePoleRequested UnstableSampledLoop ZeroInputGain check_sampled_loop
 stabilize design_3dof_gains design_6dof_gains place_integrator_chain poles_to_monic
 cli write_trajectory_csv

@@ -8,10 +8,9 @@ Exit codes are fixed for scriptability:
        poles whose gains leave float64, mix/demix values that overflow,
        --out and --gains-out naming one file, by path or by hard link)
     3  physical parameter validation failure
-    4  runtime failure: a simulation left the finite floats, a closed-loop
-       run on either plant whose sampled loop Phi - Gamma K is unstable at
-       its dt (refused before it runs), or a designed closed loop that
-       failed its own stability check
+    4  runtime failure: a simulation left the finite floats, or a
+       closed-loop run on either plant whose sampled loop Phi - Gamma K is
+       unstable at its dt (refused before it runs)
 
 Error paths print a one-line diagnostic on stderr and nothing on stdout.
 
@@ -54,7 +53,6 @@ from .simulate import (
     nonlinear_rows,
 )
 from .stabilize import (
-    InternalStabilityCheckFailed,
     PolePlacementError,
     PoleSpec,
     UnstableSampledLoop,
@@ -445,9 +443,6 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (NonFiniteState, NonFiniteDerivative) as e:
         print(f"quadmodel: simulation failed: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except InternalStabilityCheckFailed as e:
-        print(f"quadmodel: gain design failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except UnstableSampledLoop as e:
         print(f"quadmodel: simulation refused: {e}", file=sys.stderr)

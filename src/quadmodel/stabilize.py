@@ -24,12 +24,13 @@ both models, and each block of at most four states must be Hurwitz, exactly,
 on the integers of one shift of the whole loop. check_sampled_rows applies
 the same rule to the sampled loop Phi - Gamma K of a run on either plant: RK4
 with held forces is exact on the nilpotent A, so Phi - Gamma K is the
-nonlinear step's Jacobian at hover. A request whose gains are not normal
-float64 numbers (true gains of left-half-plane poles are finite and
-nonzero), or whose closed loop overflows, is refused as a
-PolePlacementError, not reported as a defect; a sampled loop that leaves
-float64 is unstable at its dt, and a dt that is not finite and > 0 is a
-ValueError.
+nonlinear step's Jacobian at hover. A design has one refusal,
+PolePlacementError: a request whose gains are not normal float64 numbers
+(true gains of left-half-plane poles are finite and nonzero), whose closed
+loop overflows, or whose rounded gains leave a block that is not Hurwitz
+(poles too near the imaginary axis for float64) is the request's fault. A
+sampled loop that leaves float64 is unstable at its dt, and a dt that is
+not finite and > 0 is a ValueError.
 The gains and the checks run on Python floats and ints without numpy
 (design_rows, check_sampled_rows).
 """
@@ -67,13 +68,6 @@ class PoleCountMismatch(PolePlacementError):
 
 class ZeroInputGain(PolePlacementError):
     pass
-
-
-class InternalStabilityCheckFailed(RuntimeError):
-    """The synthesized closed loop A - B K failed its own check: an entry
-    outside the chain blocks does not vanish, or a chain block is not
-    Hurwitz. Should be impossible for valid inputs whose gains stay finite
-    and nonzero; treated as a defect signal, not a user error."""
 
 
 class UnstableSampledLoop(RuntimeError):
@@ -190,7 +184,9 @@ def design_rows(p: QuadParams, spec: PoleSpec, dof: int) -> list[list[float]]:
     K = _chain_gains(p, spec, chains, len(a))
     if dof == 3:
         K = matmul([row[1:] for row in mixer_inverse_rows(p)], K[1:])
-    _check_closed_loop(a, b, K)
+    if not _chains_stable(a, b, K, sampled=False):
+        raise PolePlacementError("the requested poles are too near the imaginary axis for "
+                                 "float64: the closed loop of the rounded gains is not Hurwitz")
     return K
 
 
@@ -210,14 +206,6 @@ def _normal_gain(k: float) -> float:  # every true gain is a normal float64
     if not _NORMAL_MIN <= abs(k) < math.inf:
         raise PolePlacementError(_OUT_OF_RANGE)
     return k
-
-
-def _check_closed_loop(a, b, K) -> None:
-    if not _chains_stable(a, b, K, sampled=False):
-        raise InternalStabilityCheckFailed(
-            "synthesized closed loop is not Hurwitz; this indicates a defect "
-            "in the chain/gain bookkeeping, not in the request"
-        )
 
 
 def check_sampled_rows(a, b, K, dt: float) -> None:

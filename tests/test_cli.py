@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from quadmodel import (
     DOF6_STATE_LABELS,
@@ -24,12 +25,13 @@ from quadmodel import (
     simulate_feedback,
     simulate_nonlinear,
 )
-from quadmodel.cli import CSV_BLOCK_ROWS, csv_chunks, main, write_trajectory_csv
+from quadmodel.cli import CSV_BLOCK_ROWS, csv_chunks, main, sim_blocks, write_trajectory_csv
 from quadmodel.linalg import nonzeros
-from quadmodel.models import ROTOR_FORCE_LABELS
+from quadmodel.models import LABELS, ROTOR_FORCE_LABELS
 from quadmodel.rotor_forces import demix_values
 from quadmodel.simulate import nonlinear_rows
 from quadmodel.stabilize import design_rows
+from util import quad_params
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,6 +161,30 @@ def test_sim_nonlinear_hover(capsys, params_file, tmp_path):
     assert header[-4:] == ["F1", "F2", "F3", "F4"]
     assert np.all(rows[:, 1:13] == 0.0)
     assert np.all(rows[:, 13:] == 2.4525)
+
+
+def _peak_state(p, dof, plant, cfg):
+    """max |x| of the closed-loop `sim` run at the default poles from x0 = 0."""
+    n, inputs = len(LABELS[dof][0]), len(LABELS[dof][1])
+    spec = PoleSpec.uniform_6dof() if dof == 6 else PoleSpec.uniform_3dof()
+    _, blocks = sim_blocks(p, dof, plant, spec, None, [0.0] * n, cfg)
+    width = 1 + n + inputs
+    return max(abs(v) for block in blocks for r in range(0, len(block), width)
+               for v in block[r + 1 : r + 1 + n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=quad_params)
+@example(p=QuadParams(m=0.01325439570460722, d=0.25, c=0.01, Ix=0.01, Iy=0.01, Iz=0.02, g=9.81))
+def test_the_closed_loops_hold_hover_exactly_from_zero(p):
+    # from x0 = 0 the linear closed loop stays exactly at hover on both models.
+    # The nonlinear plant does only where its four equal hover forces give back
+    # g exactly: at the example 4 fl(m g / 4) / m != g, and its states reach
+    # 2.5e-16 in 1 s (pinned as it stands)
+    cfg = SimConfig(t_final=1.0, dt=0.01)
+    assert _peak_state(p, 6, "linear", cfg) == _peak_state(p, 3, "linear", cfg) == 0.0
+    exact = 4.0 * hover_thrust_per_rotor(p) / p.m == p.g
+    assert (_peak_state(p, 6, "nonlinear", cfg) == 0.0) == exact
 
 
 def _reference_csv(traj):

@@ -336,20 +336,26 @@ def test_char_poly_of_a_20_state_shift_is_lambda_to_the_20():
 
 
 def fraction_char_poly(a) -> list[float]:
-    """Faddeev-LeVerrier in exact rationals, each coefficient rounded once
+    """Faddeev-LeVerrier on the integers B = 2^s A, s the largest exponent of
+    the entries' Fraction denominators. B's coefficients C_k are integers,
+    so each division by k is exact, and c_k = C_k / 2^(s k) is rounded once
     (float of a Fraction is correctly rounded), +-inf where it overflows."""
     n = len(a)
     a = [[Fraction(x) for x in row] for row in a]
-    m, exact = [[Fraction(0)] * n for _ in range(n)], [Fraction(1)]
-    live = [[l for l in range(n) if a[i][l]] for i in range(n)]  # skip exact zeros
-    for k in range(1, n + 1):  # M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k
-        m = [[sum(a[i][l] * m[l][j] for l in live[i]) + (exact[-1] if i == j else 0)
+    s = max((x.denominator.bit_length() - 1 for row in a for x in row), default=0)
+    b = [[x.numerator << (s + 1 - x.denominator.bit_length()) for x in row] for row in a]
+    m, exact = [[0] * n for _ in range(n)], [1]
+    live = [[l for l in range(n) if b[i][l]] for i in range(n)]  # skip exact zeros
+    for k in range(1, n + 1):  # M_k = B M_(k-1) + C_(k-1) I, C_k = -tr(B M_k) / k
+        m = [[sum(b[i][l] * m[l][j] for l in live[i]) + (exact[-1] if i == j else 0)
               for j in range(n)] for i in range(n)]
-        exact.append(-sum(a[i][l] * m[l][i] for i in range(n) for l in live[i]) / k)
+        trace = sum(b[i][l] * m[l][i] for i in range(n) for l in live[i])
+        assert trace % k == 0
+        exact.append(-trace // k)
     out = []
-    for v in exact:
+    for k, v in enumerate(exact):
         try:
-            out.append(float(v))
+            out.append(float(Fraction(v, 1 << (s * k))))
         except OverflowError:
             out.append(math.inf if v > 0 else -math.inf)
     return out

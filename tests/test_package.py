@@ -32,10 +32,9 @@ EAGER = {
     "simulate": "NonFiniteDerivative NonFiniteState SimConfig StepCountExceeded Trajectory "
                 "nonlinear_deriv rk4_step simulate simulate_feedback simulate_nonlinear "
                 "zoh_discretize zoh_step",
-    "stabilize": "GainMatrix InternalStabilityCheckFailed PoleCountMismatch PolePlacementError "
-                 "PoleSpec UnstablePoleRequested UnstableSampledLoop ZeroInputGain "
-                 "check_sampled_loop design_3dof_gains design_6dof_gains "
-                 "place_integrator_chain poles_to_monic",
+    "stabilize": "GainMatrix PoleCountMismatch PolePlacementError PoleSpec "
+                 "UnstablePoleRequested UnstableSampledLoop ZeroInputGain check_sampled_loop "
+                 "design_3dof_gains design_6dof_gains place_integrator_chain poles_to_monic",
 }
 # submodules the eager package bound; its simulate was the function
 EAGER_MODULES = ("analysis", "linalg", "models", "params", "rotor_forces", "stabilize")

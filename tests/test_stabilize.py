@@ -36,8 +36,7 @@ from quadmodel import (
 )
 from quadmodel.linalg import char_poly_ints, expm_rows, is_hurwitz_ints, matmul
 from quadmodel.models import CHAINS, model_rows
-from quadmodel.stabilize import (InternalStabilityCheckFailed, _chains_stable, _check_closed_loop,
-                                 check_sampled_rows, design_rows)
+from quadmodel.stabilize import _OUT_OF_RANGE, _chains_stable, check_sampled_rows, design_rows
 from util import assert_close, quad_params
 
 negative_pole = st.floats(min_value=-5.0, max_value=-0.5)
@@ -362,15 +361,16 @@ def test_sampled_gate_flips_at_the_uniform_pole_threshold(p, a, dof, u, unstable
             check_sampled_rows(a_rows, b_rows, K, a_dt / a)
 
 
-def _pole_set(size):
+def _pole_set(size, least_damping=-6.0):
     """A conjugate-closed set of size stable poles, |p| from 0.1 to 30:
     real poles and complex pairs r (-zeta +- i sqrt(1 - zeta^2)), with the
-    damping zeta log-uniform from 1e-6 to 1. Far below that, a 6DOF chain's
-    rounded gains need not be Hurwitz, and the design reports a defect
-    (test_near_undamped_pairs_are_a_false_defect_of_the_design)."""
+    damping zeta log-uniform from 10^least_damping to 1. Far below 1e-6, a
+    6DOF chain's rounded gains need not be Hurwitz, and the design refuses
+    the request as a PolePlacementError
+    (test_near_undamped_pairs_that_float64_cannot_hold_are_refused)."""
     magnitude = st.floats(-1.0, math.log10(30.0)).map(lambda e: 10.0 ** e)
     real = magnitude.map(lambda r: (-r,))
-    damping = st.floats(-6.0, 0.0, exclude_max=True).map(lambda e: 10.0 ** e)
+    damping = st.floats(least_damping, 0.0, exclude_max=True).map(lambda e: 10.0 ** e)
     pair = st.tuples(magnitude, damping).map(
         lambda rz: (rz[0] * complex(-rz[1], math.sqrt(1.0 - rz[1] ** 2)),
                     rz[0] * complex(-rz[1], -math.sqrt(1.0 - rz[1] ** 2))))
@@ -410,19 +410,33 @@ def _pair(re, im):
     pytest.param("pitch", id="one-pair-at-zeta-1.6e-16"),
     pytest.param("roll", id="two-pairs-at-zeta-1e-12-and-1e-4"),
 ])
-def test_near_undamped_pairs_are_a_false_defect_of_the_design(chain):
-    # a known defect, pinned as it stands: PoleSpec accepts pairs this close to
-    # the imaginary axis, but the rounded gains of a 6DOF 4-chain need not be
-    # Hurwitz. At desk parameters they are; at OFF_DESK the design reports a
-    # defect in its bookkeeping, where the request is what float64 cannot hold
+def test_near_undamped_pairs_that_float64_cannot_hold_are_refused(chain):
+    # PoleSpec accepts pairs this close to the imaginary axis, but the rounded
+    # gains of a 6DOF 4-chain need not be Hurwitz. At desk parameters they
+    # are; at OFF_DESK they are not, and the request is refused
     poles = {"pitch": _pair(-0.27732327736596635, 0.9607766649076149)
                       + _pair(-1.6081226496766364e-16, 1.0),
              "roll": _pair(-1e-4, 0.9999999949999999) + _pair(-1e-12, 1.0)}[chain]
     spec = PoleSpec(**{"z": (-1.0,) * 2, "roll": (-1.0,) * 4, "pitch": (-1.0,) * 4,
                        "yaw": (-1.0,) * 2, chain: poles})
     design_rows(P, spec, 6)
-    with pytest.raises(InternalStabilityCheckFailed):
+    with pytest.raises(PolePlacementError, match=r"^the requested poles are too near the "
+                                                 r"imaginary axis for float64: "):
         design_rows(OFF_DESK, spec, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([P, OFF_DESK]), dof=st.sampled_from([6, 3]), data=st.data())
+def test_near_undamped_pairs_design_a_hurwitz_loop_or_are_refused(p, dof, data):
+    # with damping down to 1e-18, a request either designs a loop whose every
+    # chain block is exactly Hurwitz, or is refused; nothing else is raised
+    sets = {ch.name: data.draw(_pole_set(len(ch.states), -18.0), label=ch.name)
+            for ch in CHAINS[dof]}
+    try:
+        K = design_rows(p, PoleSpec(**sets), dof)
+    except PolePlacementError:
+        return
+    assert _chains_stable(*model_rows(p, dof), K, sampled=False) is True
 
 
 def test_sampled_block_with_an_eigenvalue_at_minus_one_fails():
@@ -538,8 +552,8 @@ GRID_PARAMS = (
 def test_verdict_grid():
     # desk, cancelling-mixer and extreme parameters x both models x uniform
     # poles -1e-320 .. -1e308 in whole decades x three steps: every request
-    # runs, is unstable at its dt (exit 4) or is beyond float64 (exit 2),
-    # and none is a defect (InternalStabilityCheckFailed propagates)
+    # runs, is unstable at its dt (exit 4) or has gains or a closed loop
+    # beyond float64 (exit 2); no design is refused as not Hurwitz
     verdicts = collections.Counter()
     for p in GRID_PARAMS:
         for dof, model, design, uniform in (
@@ -548,7 +562,8 @@ def test_verdict_grid():
             for e in range(-320, 309):
                 try:
                     K = design(p, uniform(-(10.0 ** e))).K
-                except PolePlacementError:
+                except PolePlacementError as refusal:
+                    assert str(refusal) == _OUT_OF_RANGE
                     verdicts[dof, 2] += 3
                     continue
                 for dt in (1e-6, 1e-3, 0.3):
@@ -559,6 +574,29 @@ def test_verdict_grid():
                         verdicts[dof, 4] += 1
     assert verdicts == {(6, 0): 711, (6, 4): 666, (6, 2): 4284,
                         (3, 0): 1395, (3, 4): 1332, (3, 2): 2934}
+
+
+def _real_pole_set(size):
+    """size real stable poles, as --poles reads them: magnitudes of any
+    exponent, subnormal to 1e308, or in the desk band 0.1 to 100, each
+    drawn from a few distinct values, so that some are tied."""
+    magnitude = st.one_of(st.floats(-320.0, 308.0), st.floats(-1.0, 2.0)).map(lambda e: 10.0 ** e)
+    return st.lists(magnitude, min_size=1, max_size=size).flatmap(
+        lambda distinct: st.lists(st.sampled_from(distinct), min_size=size, max_size=size)).map(
+        lambda magnitudes: tuple(-r for r in magnitudes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((OFF_DESK,) + GRID_PARAMS), dof=st.sampled_from([6, 3]), data=st.data())
+def test_real_pole_sets_design_or_leave_float64(p, dof, data):
+    # --poles reads real values only, so `sim` never meets the not-Hurwitz
+    # refusal: every real set designs, or its gains or closed loop leave float64
+    sets = {ch.name: data.draw(_real_pole_set(len(ch.states)), label=ch.name)
+            for ch in CHAINS[dof]}
+    try:
+        design_rows(p, PoleSpec(**sets), dof)
+    except PolePlacementError as e:
+        assert str(e) == _OUT_OF_RANGE
 
 
 def per_block_verdict(a, b, K, sampled: bool) -> bool:
@@ -675,13 +713,13 @@ def test_sampled_checks_refuse_a_step_that_is_not_finite_and_positive(params, dt
         check_sampled_rows(m.A.tolist(), m.B.tolist(), K.tolist(), dt)
 
 
-def test_a_zero_gain_at_desk_poles_is_a_defect_not_a_range_error(params):
-    # a gain the bookkeeping left at 0 is not float64 running out
+def test_the_design_check_refuses_a_zeroed_gain(params):
+    # a gain the bookkeeping left at 0 fails the check that every design
+    # passes, and is not read as float64 running out
     m = build_6dof(params)
     K = design_6dof_gains(params, PoleSpec.uniform_6dof(-2.0)).K.copy()
     K.flat[np.flatnonzero(K)[0]] = 0.0
-    with pytest.raises(InternalStabilityCheckFailed):
-        _check_closed_loop(m.A, m.B, K)
+    assert _chains_stable(m.A.tolist(), m.B.tolist(), K.tolist(), sampled=False) is False
 
 
 @pytest.mark.parametrize("dt", [1e80, 1e300])
