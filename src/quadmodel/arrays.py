@@ -11,6 +11,8 @@ unless its docstring says otherwise; the three simulators hold no loop of
 their own. Three functions compute on their own: rank, which stays
 numerical, with a tolerance, and rk4_step and nonlinear_deriv, the
 reference that the nonlinear plant's float step is pinned against to the bit.
+is_hurwitz (linalg) and write_trajectory_csv (cli) are not here: they
+compute on Python numbers, so they are float-core names and need no numpy.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ except ModuleNotFoundError as e:  # numpy is the optional extra "arrays"
 
 from ._record import Record
 from .analysis import AnalysisReport, _kalman_rank, analyze_rows
-from .linalg import (DimensionMismatch, NotSquare, _as_ints, _nilpotency_ints, char_poly_ints,
-                     expm_rows, int_rows, is_hurwitz_ints, rounded_poly)
+from .linalg import (DimensionMismatch, NotSquare, _nilpotency_ints, char_poly_ints, expm_rows,
+                     int_rows, rounded_poly)
 from .models import DOF6_STATE_LABELS, LABELS, ROTOR_FORCE_LABELS, model_matrices
 from .params import QuadParams, validate
 from .rotor_forces import RotorForces, mixer_inverse_rows, mixer_rows
-from .simulate import (CSV_BLOCK_ROWS, NonFiniteDerivative, SimConfig, feedback_rows, linear_rows,
-                       nonlinear_rows)
+from .simulate import NonFiniteDerivative, SimConfig, feedback_rows, linear_rows, nonlinear_rows
 from .stabilize import (PoleCountMismatch, PolePlacementError, PoleSpec, _chain_row, _monic,
                         _normal_gain, _validate_pole_set, check_sampled_rows, design_rows)
 
@@ -96,31 +97,6 @@ def char_poly(a) -> np.ndarray:
     for one finite square matrix, as a float64 array of char_poly_ints
     correctly rounded, +-inf where a coefficient overflows."""
     return np.array(rounded_poly(*char_poly_ints(_finite_rows(a, "char_poly"))))
-
-
-def is_hurwitz(coeffs) -> bool:
-    """True iff every root of the given real polynomial has strictly
-    negative real part, decided by the Routh array.
-
-    ``coeffs`` are highest-degree first, finite, leading coefficient
-    nonzero. Strict stability holds iff every first-column entry of the
-    Routh array is positive, so the table stops at the first entry that is
-    not: a zero there (including a whole zero row, roots placed
-    symmetrically about the origin) already rules strict stability out,
-    and no epsilon substitute is needed.
-    The table is exact: one power of two turns the float coefficients into
-    integers, and a row is not divided by its pivot, a positive factor
-    that keeps the signs. No entry rounds, underflows or overflows, at any
-    scale of the roots.
-    """
-    c = [float(v) for v in coeffs]
-    if len(c) < 2:
-        raise ValueError("polynomial degree must be >= 1")
-    if not all(map(math.isfinite, c)):
-        raise ValueError("coefficients must be finite")
-    if c[0] == 0.0:
-        raise ValueError("leading coefficient must be nonzero")
-    return is_hurwitz_ints(_as_ints(c)[0])
 
 
 class StateSpaceModel(Record):
@@ -473,17 +449,3 @@ def check_sampled_loop(model: StateSpaceModel, K, dt: float) -> None:
     x+ = (Phi - Gamma K) x of the model at step dt is stable, chain block
     by chain block under the same off-block rule as the designs."""
     check_sampled_rows(model.A.tolist(), model.B.tolist(), np.asarray(K, dtype=float).tolist(), dt)
-
-
-# ---------------------------------------------------------------- cli
-
-
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """The CSV of a Trajectory's times, states and inputs, to a text handle,
-    CSV_BLOCK_ROWS rows at a time, as `quadmodel sim` writes its runs."""
-    from .cli import csv_chunks
-
-    arrays, labels = (traj.times, traj.states, traj.inputs), traj.state_labels + traj.input_labels
-    blocks = (np.column_stack([a[lo : lo + CSV_BLOCK_ROWS] for a in arrays]).ravel().tolist()
-              for lo in range(0, len(traj), CSV_BLOCK_ROWS))
-    fh.writelines(chunk.decode() for chunk in csv_chunks(labels, blocks))

@@ -26,7 +26,9 @@ scripts call it, so each of them runs what `sim` runs.
 Every command runs on the package's float core: `model` prints the nested
 lists of models.model_matrices, `analyze` reads them through
 analysis.analyze_rows, and `sim` runs both plants on Python floats. None
-imports numpy or the numpy face, quadmodel.arrays.
+imports numpy or the numpy face, quadmodel.arrays. Neither does
+write_trajectory_csv, the `sim` CSV of a numpy-face Trajectory: it reads the
+three arrays once with .tolist() and formats Python floats.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ import os
 import shutil
 import sys
 import tempfile
+from itertools import islice
 
-from . import _twin
 from .models import CHAINS, LABELS, ROTOR_FORCE_LABELS, model_matrices, model_rows
 from .params import ParameterError, QuadParams, hover_thrust_per_rotor, validate
 from .rotor_forces import GeneralizedInput, RotorForces, demix, demix_values, mix
@@ -234,6 +236,16 @@ def csv_chunks(labels, blocks):
     row = b",".join([b"%.17g"] * width) + b"\n"
     for block in blocks:
         yield (row * (len(block) // width)) % tuple(block)
+
+
+def write_trajectory_csv(traj, fh) -> None:
+    """The CSV of a Trajectory's times, states and inputs, to a text handle,
+    CSV_BLOCK_ROWS rows at a time, as `sim` writes its runs."""
+    rows = zip(traj.times.tolist(), traj.states.tolist(), traj.inputs.tolist())
+    blocks = ([v for t, x, u in islice(rows, CSV_BLOCK_ROWS) for v in (t, *x, *u)]
+              for _ in range(0, len(traj), CSV_BLOCK_ROWS))
+    labels = traj.state_labels + traj.input_labels
+    fh.writelines(chunk.decode() for chunk in csv_chunks(labels, blocks))
 
 
 def cmd_model(args) -> int:
@@ -451,7 +463,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-def __getattr__(name):  # a numpy twin, in quadmodel.arrays
-    return _twin(__name__, name)

@@ -194,6 +194,31 @@ def rounded_poly(coeffs: list[int], s: int) -> list[float]:
     return out
 
 
+def is_hurwitz(coeffs) -> bool:
+    """True iff every root of the given real polynomial has strictly
+    negative real part, decided by the Routh array.
+
+    ``coeffs`` are highest-degree first, finite, leading coefficient
+    nonzero. Strict stability holds iff every first-column entry of the
+    Routh array is positive, so the table stops at the first entry that is
+    not: a zero there (including a whole zero row, roots placed
+    symmetrically about the origin) already rules strict stability out,
+    and no epsilon substitute is needed.
+    The table is exact: one power of two turns the float coefficients into
+    integers, and a row is not divided by its pivot, a positive factor
+    that keeps the signs. No entry rounds, underflows or overflows, at any
+    scale of the roots.
+    """
+    c = [float(v) for v in coeffs]
+    if len(c) < 2:
+        raise ValueError("polynomial degree must be >= 1")
+    if not all(map(math.isfinite, c)):
+        raise ValueError("coefficients must be finite")
+    if c[0] == 0.0:
+        raise ValueError("leading coefficient must be nonzero")
+    return is_hurwitz_ints(_as_ints(c)[0])
+
+
 def is_hurwitz_ints(c: list[int]) -> bool:
     """The Routh array of is_hurwitz on integers, leading one nonzero."""
     if c[0] < 0:

@@ -397,6 +397,53 @@ def test_bad_state_label_is_exit_2(capsys, params_file, tmp_path):
     assert code == 2 and out == "" and "warp" in err
 
 
+SIM = "sim --dof 6 --params {params} --t-final 1 --out {out}"
+
+
+@pytest.mark.parametrize("doc,argv,named", [
+    ([1, 2], SIM, "must hold a JSON object"),
+    ({"m": 1, "d": 0.25, "c": 0.01, "Ix": 0.01, "Iy": 0.01}, SIM, "is missing keys: Iz"),
+    (None, SIM + " --x0 z", "bad state assignment 'z'"),
+    (None, SIM + " --x0 z=abc", "in state assignment 'z=abc'"),
+    (None, SIM + " --x0 z=inf", "state value for 'z' must be finite"),
+    (None, SIM + " --mode closed --poles z=-1,x", "bad pole list in 'z=-1,x'"),
+    (None, SIM + " --mode closed --poles=abc", "bad pole value 'abc'"),
+    (None, SIM + " --mode closed --poles=-2 --poles z=-1,-2", "one bare pole value or chain"),
+    (None, SIM + " --mode open --poles=-2", "--poles only applies to --mode closed"),
+    (None, SIM + " --mode closed --input U1=1", "--input only applies to --mode open"),
+    (None, SIM + " --dt inf", "dt and t_final must be finite"),
+    (None, "mix --params {params} inf 0 0 0", "must be finite, got (inf, 0.0, 0.0, 0.0)"),
+])
+def test_a_refused_request_is_one_line_at_exit_2_and_writes_nothing(capsys, params_file, tmp_path,
+                                                                    doc, argv, named):
+    if doc is not None:
+        params_file = tmp_path / "bad_params.json"
+        params_file.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, *argv.format(params=params_file, out=out_path).split())
+    assert code == 2 and out == ""
+    assert err.startswith("quadmodel: error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out_path.exists()
+
+
+def test_an_unknown_flag_is_exit_2(capsys, params_file, tmp_path):
+    code, out, err = run(capsys, *SIM.format(params=params_file, out=tmp_path / "x.csv").split(),
+                         "--no-such-flag")
+    assert code == 2 and out == "" and "--no-such-flag" in err
+
+
+def test_an_empty_x0_part_is_skipped(capsys, params_file, tmp_path):
+    written = []
+    for x0 in ("z=1,,phi=0.1", "z=1,phi=0.1"):
+        out_path = tmp_path / f"{len(written)}.csv"
+        code, out, err = run(capsys, *SIM.format(params=params_file, out=out_path).split(),
+                             "--x0", x0)
+        assert (code, out, err) == (0, "", "")
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_nonlinear_needs_dof6(capsys, params_file, tmp_path):
     code, out, err = run(capsys, "sim", "--dof", "3", "--params", params_file,
                          "--plant", "nonlinear", "--t-final", "1",

@@ -193,6 +193,11 @@ def test_nilpotency_index_requires_square():
         nilpotency_index(np.zeros((2, 3)))
 
 
+def test_nilpotency_index_requires_a_matrix():
+    with pytest.raises(DimensionMismatch):
+        nilpotency_index(np.zeros(3))
+
+
 def test_nilpotency_index_is_exact_at_any_scale():
     # a tolerance of 1e-12 * max(1, max|A|) read A^2 = 1e-13 as 0, and a
     # matrix of one 1e-13 as nilpotent
@@ -578,6 +583,20 @@ def test_state_space_rejects_bad_shapes():
             D=np.zeros((1, 1)), state_labels=("a",),
             input_labels=("u",), output_labels=("y",),
         )
+
+
+@pytest.mark.parametrize("name,value,error", [
+    ("A", [[0.0, math.nan], [0.0, 0.0]], ValueError),
+    ("B", np.zeros((3, 1)), DimensionMismatch),
+    ("C", np.zeros((1, 3)), DimensionMismatch),
+    ("D", np.zeros((1, 2)), DimensionMismatch),
+])
+def test_state_space_rejects_a_non_finite_a_and_mismatched_b_c_d(name, value, error):
+    matrices = {"A": np.zeros((2, 2)), "B": np.zeros((2, 1)), "C": np.zeros((1, 2)),
+                "D": np.zeros((1, 1)), name: value}
+    with pytest.raises(error, match=f"^{name} "):
+        StateSpaceModel(**matrices, state_labels=("a", "b"), input_labels=("u",),
+                        output_labels=("y",))
 
 
 def test_state_space_matrices_are_frozen():

@@ -158,6 +158,19 @@ quadmodel.analyze
         "ModuleNotFoundError: No module named 'numpy': pip install 'quadmodel[arrays]'")
 
 
+def test_the_float_core_names_resolve_without_numpy():
+    # is_hurwitz and cli.write_trajectory_csv are float-core names, not numpy twins
+    code = f"""
+import quadmodel, sys
+assert quadmodel.is_hurwitz([1.0, 3.0, 2.0])
+quadmodel.cli.write_trajectory_csv
+assert not [m for m in sys.modules if m.split(".")[0] == "numpy" or m == {FACE!r}]
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=ENV, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_the_numpy_twins_are_the_public_names_of_the_numpy_face():
     # _EXPORTS lists each twin once, under the core module it resolves in
     arrays = importlib.import_module(FACE)

@@ -53,6 +53,12 @@ def test_non_finite_rejected(params, bad):
     assert excinfo.value.name == "Iy"
 
 
+def test_a_non_numeric_field_is_rejected_naming_it():
+    with pytest.raises(NonFiniteParameter) as excinfo:
+        validate(QuadParams("1", 0.25, 0.01, 0.01, 0.01, 0.02))
+    assert excinfo.value.name == "m"
+
+
 @pytest.mark.parametrize("overrides,field", [
     ({"m": 1e-310}, "m"),
     ({"Ix": 1e-310}, "Ix"),

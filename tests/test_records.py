@@ -168,6 +168,20 @@ def test_pickle_and_copy_round_trip(cls):
         setattr(copy.copy(record), names[0], values[0])
 
 
+def test_a_subclass_declaring_no_field_keeps_its_parents_fields_defaults_and_validation():
+    class Desk(qm.QuadParams):
+        def weight(self):
+            return self.m * self.g
+
+    assert (Desk._fields, Desk._field_defaults) == (qm.QuadParams._fields, {"g": 9.81})
+    desk = Desk(0.5, 0.25, 0.01, 0.01, 0.01, 0.02)
+    assert desk.as_tuple() == (0.5, 0.25, 0.01, 0.01, 0.01, 0.02, 9.81)
+    assert desk.weight() == 0.5 * 9.81 and qm.validate(desk) is desk
+    with pytest.raises(qm.NonPositiveParameter) as excinfo:
+        qm.validate(Desk(0.5, 0.25, 0.01, 0.01, 0.01, -0.02))
+    assert excinfo.value.name == "Iz"
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_fields_defaults_and_as_tuple_replace_dataclasses_fields(cls):
     names, values, defaults, _ = _spec(cls)

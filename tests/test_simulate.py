@@ -59,6 +59,9 @@ def test_config_guards():
         SimConfig(t_final=1.0, dt=0.0)
     with pytest.raises(ValueError):
         SimConfig(t_final=0.5, dt=1.0)
+    for t_final in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            SimConfig(t_final=t_final)
     with pytest.raises(ValueError):
         SimConfig(t_final=1.0, dt=0.1, integrator="euler")
     with pytest.raises(ValueError):

@@ -205,6 +205,8 @@ def test_pole_spec_validates_at_construction():
         PoleSpec(z=(0.5, -1.0))
     with pytest.raises(PolePlacementError):
         PoleSpec(yaw=(-1 + 2j, -1 + 3j))
+    with pytest.raises(PolePlacementError, match=r"^z pole \(nan\+0j\) is not finite$"):
+        PoleSpec(z=(math.nan, -1.0))
     spec = PoleSpec.uniform_6dof(-2.0)
     assert len(spec.roll) == 4 and len(spec.z) == 2
 
